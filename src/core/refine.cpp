@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -80,6 +81,19 @@ void loosen_kth(FlowState& fs, std::size_t si, double lsk_budget) {
     const double dk = 0.9 * slack_lsk / sol.path_len_mm[i];
     snet.kth = std::max(snet.kth, ki_now + dk);
   }
+}
+
+/// Pass 2's pick key for cell `si`: its density, or nullopt when pass 2
+/// may not pick it. The density test is the historical scan's strict
+/// `> 0.0`, which also keeps NaN out of the heap.
+std::optional<double> pass2_key(const FlowState& fs, std::size_t si) {
+  if (fs.solutions[si].empty()) return std::nullopt;
+  if (fs.congestion->shields(sol_region(si), sol_dir(si)) < 1.0) {
+    return std::nullopt;
+  }
+  const double density = fs.solution_density(si);
+  if (!(density > 0.0)) return std::nullopt;
+  return density;
 }
 
 /// Accept iff the re-solve removed at least one shield and no member net
@@ -382,6 +396,29 @@ FixOutcome attempt_fix(View& v, std::size_t worst, const FlowState& fs,
 
 }  // namespace
 
+CongestedCells::CongestedCells(const FlowState& fs)
+    : cells_(fs.solutions.size()), heap_(fs.solutions.size()) {
+  // push, not build(): build copies the entry list, a transient that shows
+  // up in peak RSS at full size.
+  for (std::size_t si = 0; si < cells_; ++si) {
+    if (const auto key = pass2_key(fs, si)) heap_.push(id_of(si), *key);
+  }
+}
+
+std::size_t CongestedCells::top() const {
+  return cells_ - 1 - static_cast<std::size_t>(heap_.top().first);
+}
+
+void CongestedCells::refresh(const FlowState& fs, std::size_t si) {
+  if (const auto key = pass2_key(fs, si)) {
+    heap_.update(id_of(si), *key);
+  } else {
+    heap_.erase(id_of(si));
+  }
+}
+
+void CongestedCells::retire(std::size_t si) { heap_.erase(id_of(si)); }
+
 RefineStats LocalRefiner::refine(FlowState& fs,
                                  const RefineOptions& options) const {
   RefineStats stats;
@@ -573,27 +610,12 @@ void LocalRefiner::reduce_congestion(FlowState& fs, RefineStats& stats) const {
   const RoutingProblem& p = *problem_;
   const auto& params = p.params();
   const double lsk_budget = p.lsk_table().lsk_budget(fs.bound_v);
-  std::unordered_set<std::size_t> done;
+  CongestedCells cells(fs);
 
-  for (int outer = 0; outer < params.lr_max_outer_pass2; ++outer) {
+  for (int outer = 0; outer < params.lr_max_outer_pass2 && !cells.empty();
+       ++outer) {
     // Most congested solution with at least one shield.
-    double worst_density = 0.0;
-    std::size_t pick = 0;
-    bool found = false;
-    for (std::size_t si = 0; si < fs.solutions.size(); ++si) {
-      if (done.count(si) || fs.solutions[si].empty()) continue;
-      if (fs.congestion->shields(sol_region(si), sol_dir(si)) < 1.0) {
-        continue;
-      }
-      const double dens = fs.solution_density(si);
-      if (dens > worst_density) {
-        worst_density = dens;
-        pick = si;
-        found = true;
-      }
-    }
-    if (!found) break;
-
+    const std::size_t pick = cells.top();
     const RegionBackup backup = snapshot(fs, pick);
     loosen_kth(fs, pick, lsk_budget);
     fs.resolve_region(pick, /*allow_anneal=*/false);
@@ -607,12 +629,14 @@ void LocalRefiner::reduce_congestion(FlowState& fs, RefineStats& stats) const {
       // Stay eligible: more slack may be harvestable here. Termination is
       // still guaranteed because every acceptance removes at least one
       // shield and the total shield count is finite.
+      cells.refresh(fs, pick);
     } else {
       restore(fs, backup);
       ++stats.pass2_rejected;
-      done.insert(pick);
+      cells.retire(pick);
     }
   }
+  stats.pass2_cap_hit = !cells.empty();
 }
 
 void LocalRefiner::reduce_congestion_batched(FlowState& fs, RefineStats& stats,
@@ -625,16 +649,17 @@ void LocalRefiner::reduce_congestion_batched(FlowState& fs, RefineStats& stats,
   std::vector<char> net_claimed(p.net_count(), 0);
 
   int regions_processed = 0;
-  while (regions_processed < params.lr_max_outer_pass2) {
+  for (;;) {
     // Eligible regions by descending density (index ascending on ties —
     // selection is a pure function of the current state).
     std::vector<std::size_t> eligible;
     for (std::size_t si = 0; si < fs.solutions.size(); ++si) {
-      if (done.count(si) || fs.solutions[si].empty()) continue;
-      if (fs.congestion->shields(sol_region(si), sol_dir(si)) < 1.0) {
-        continue;
-      }
-      eligible.push_back(si);
+      if (!done.count(si) && pass2_key(fs, si)) eligible.push_back(si);
+    }
+    if (eligible.empty()) break;
+    if (regions_processed >= params.lr_max_outer_pass2) {
+      stats.pass2_cap_hit = true;
+      break;
     }
     std::stable_sort(eligible.begin(), eligible.end(),
                      [&](std::size_t a, std::size_t b) {
@@ -662,7 +687,6 @@ void LocalRefiner::reduce_congestion_batched(FlowState& fs, RefineStats& stats,
       for (std::size_t n : sol.net_index) net_claimed[n] = 1;
       picked.push_back(si);
     }
-    if (picked.empty()) break;
 
     std::vector<RegionBackup> backups;
     backups.reserve(picked.size());

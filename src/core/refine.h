@@ -12,7 +12,16 @@
 // Pass 2 (reduce routing congestion): in the most congested region, give
 // nets with slack (noise headroom) looser Kth in proportion to that slack
 // and re-run SINO; accept the new solution only if it removes at least one
-// shield and causes no new violations.
+// shield and causes no new violations. The region comes off a
+// CongestedCells heap, O(log N) per iteration over the N (region, dir)
+// cells, in the same order a full density scan picks (lowest index on
+// ties): density is a per-cell function of the congestion map, segments
+// are fixed during refinement, and an iteration changes only the shields
+// of the cell it picked. A rejected cell never comes back; an accepted
+// one stays eligible while it keeps a shield. The loop ends when no
+// eligible cell is left or after lr_max_outer_pass2 iterations
+// (RefineStats::pass2_cap_hit); full-size ibm01 hits the 4000-iteration
+// cap on every perfbench workload.
 //
 // Batched pass 2 (RefineOptions::batch_pass2): instead of one region per
 // step, each sweep picks a maximal net-disjoint set of eligible congested
@@ -40,8 +49,35 @@
 #pragma once
 
 #include "core/session.h"
+#include "util/indexed_heap.h"
 
 namespace rlcr::gsino {
+
+/// Pass 2's pick order over the solution cells of a FlowState: the
+/// eligible cells (non-empty solution, >= 1 shield, density > 0) by
+/// density, lowest index first among equal densities. Exposed for tests.
+class CongestedCells {
+ public:
+  explicit CongestedCells(const FlowState& fs);
+
+  bool empty() const { return heap_.empty(); }
+  /// The densest eligible cell. Requires !empty().
+  std::size_t top() const;
+  /// Re-key `si` after its shields changed; drops it once ineligible.
+  void refresh(const FlowState& fs, std::size_t si);
+  /// Remove `si` for good (a rejected re-solve).
+  void retire(std::size_t si);
+
+ private:
+  // The heap breaks (key, id) ties toward the larger id, so ids run
+  // backwards from the solution index to make the lowest index win.
+  std::int32_t id_of(std::size_t si) const {
+    return static_cast<std::int32_t>(cells_ - 1 - si);
+  }
+
+  std::size_t cells_;
+  util::IndexedMaxHeap heap_;
+};
 
 class LocalRefiner {
  public:

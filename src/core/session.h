@@ -260,6 +260,9 @@ struct RefineStats {
   int pass2_shields_removed = 0;
   int pass2_accepted = 0;
   int pass2_rejected = 0;
+  /// 1 when pass 2 stopped at GsinoParams::lr_max_outer_pass2 with
+  /// eligible regions left, 0 when it ran out of regions to try.
+  int pass2_cap_hit = 0;
   int batch_sweeps = 0;          ///< batched pass-2 sweeps executed
   int batch_regions_resolved = 0;  ///< regions re-solved inside those sweeps
   /// Pass-1 speculation counters (parallel/speculate.h; see

@@ -315,6 +315,7 @@ std::vector<std::uint8_t> save(const gsino::RefineArtifact& art,
   w.i32(s.pass2_shields_removed);
   w.i32(s.pass2_accepted);
   w.i32(s.pass2_rejected);
+  w.i32(s.pass2_cap_hit);
   w.i32(s.batch_sweeps);
   w.i32(s.batch_regions_resolved);
   w.i32(s.spec_attempted);
@@ -450,6 +451,7 @@ std::shared_ptr<const gsino::RefineArtifact> load_refine(
   s.pass2_shields_removed = r.i32();
   s.pass2_accepted = r.i32();
   s.pass2_rejected = r.i32();
+  s.pass2_cap_hit = r.i32();
   s.batch_sweeps = r.i32();
   s.batch_regions_resolved = r.i32();
   s.spec_attempted = r.i32();

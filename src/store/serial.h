@@ -43,7 +43,8 @@ namespace rlcr::store {
 /// v3: the routing profile gained tree_profile + tree_profile_overrides
 /// (steiner quality tiers) and RoutingStats gained rsmt_fallback_nets;
 /// same rule — v2 records load as misses and recompute.
-inline constexpr std::uint32_t kFormatVersion = 3;
+/// v4: RefineStats gained pass2_cap_hit; v3 records load as misses.
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 enum class ArtifactType : std::uint32_t {
   kRouting = 1,

@@ -296,6 +296,7 @@ TEST(Metrics, EveryStatsFieldAppearsInTheRegistryExactlyOnce) {
   f.pass2_shields_removed = static_cast<int>(v++);
   f.pass2_accepted = static_cast<int>(v++);
   f.pass2_rejected = static_cast<int>(v++);
+  f.pass2_cap_hit = static_cast<int>(v++);
   f.batch_sweeps = static_cast<int>(v++);
   f.batch_regions_resolved = static_cast<int>(v++);
   f.spec_attempted = static_cast<int>(v++);
@@ -325,8 +326,8 @@ TEST(Metrics, EveryStatsFieldAppearsInTheRegistryExactlyOnce) {
   obs::append_metrics(snap, st);
   obs::append_metrics(snap, sp);
 
-  // 23 + 10 + 11 + 9 + 3 fields across the five structs.
-  EXPECT_EQ(snap.metrics().size(), 56u);
+  // 23 + 10 + 12 + 9 + 3 fields across the five structs.
+  EXPECT_EQ(snap.metrics().size(), 57u);
 
   const std::vector<std::pair<std::string, double>> expected = {
       {"session.route_requests", 1},
@@ -339,12 +340,13 @@ TEST(Metrics, EveryStatsFieldAppearsInTheRegistryExactlyOnce) {
       {"router.spec_replayed", 32},
       {"router.runtime_s", 0.25},
       {"refine.pass1_nets_fixed", 33},
-      {"refine.spec_replayed", 43},
-      {"store.hits", 44},
-      {"store.lock_waits", 50},
-      {"store.bytes_read", 52},
-      {"spec.attempted", 53},
-      {"spec.replayed", 55},
+      {"refine.pass2_cap_hit", 39},
+      {"refine.spec_replayed", 44},
+      {"store.hits", 45},
+      {"store.lock_waits", 51},
+      {"store.bytes_read", 53},
+      {"spec.attempted", 54},
+      {"spec.replayed", 56},
   };
   for (const auto& [name, want] : expected) {
     EXPECT_TRUE(snap.has(name)) << name;

@@ -3,9 +3,16 @@
 // mutable FlowState a FlowSession builds over a Phase II solve artifact.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <set>
+#include <vector>
+
 #include "core/experiment.h"
 #include "core/refine.h"
 #include "core/session.h"
+#include "util/hash.h"
 
 namespace rlcr::gsino {
 namespace {
@@ -169,6 +176,266 @@ TEST(Refiner, BatchedPass2BitIdenticalAcrossThreadCounts) {
   for (std::size_t si = 0; si < a.solutions.size(); ++si) {
     EXPECT_EQ(a.solutions[si].slots, b.solutions[si].slots) << "sol " << si;
   }
+}
+
+// ------------------------------------------- pass-2 pick order (Fig. 2)
+//
+// Pass 2 picks the densest eligible cell from a heap. The oracle is the
+// full density scan it replaced (strict `>` from 0.0, so the lowest index
+// wins ties, skipping rejected cells, empty solutions and cells with no
+// shield): brute_force_pick below, and the pick sequences that scan
+// produced on the seeded fixtures, pinned in kPass2Goldens.
+
+/// The historical pass-2 scan over the current state.
+bool brute_force_pick(const FlowState& fs, const std::set<std::size_t>& done,
+                      std::size_t& pick) {
+  double worst_density = 0.0;
+  bool found = false;
+  for (std::size_t si = 0; si < fs.solutions.size(); ++si) {
+    if (done.count(si) || fs.solutions[si].empty()) continue;
+    if (fs.congestion->shields(sol_region(si), sol_dir(si)) < 1.0) continue;
+    const double dens = fs.solution_density(si);
+    if (dens > worst_density) {
+      worst_density = dens;
+      pick = si;
+      found = true;
+    }
+  }
+  return found;
+}
+
+struct Pass2Case {
+  const char* name;
+  std::size_t nets;
+  std::uint64_t seed;
+  int grid;  ///< regions per side
+  double chip_um;
+  int h_cap, v_cap;
+  double sigma;  ///< local pin spread, in regions
+  double rate;   ///< sensitivity rate
+  int max_outer_pass2;
+};
+
+/// What pass 2 did on one fixture: the picked cells in order (one
+/// observer region event per re-solve), and the shields each pick was
+/// left with right after its re-solve.
+struct Pass2Trace {
+  std::vector<std::size_t> picks;
+  std::vector<double> shields_after;
+  RefineStats stats;
+  std::size_t eligible_ties = 0;  ///< equal-density eligible pairs at start
+};
+
+Pass2Trace run_pass2(const Pass2Case& c) {
+  netlist::SyntheticSpec spec = netlist::tiny_spec(c.nets, c.seed);
+  spec.grid_cols = c.grid;
+  spec.grid_rows = c.grid;
+  spec.chip_w_um = c.chip_um;
+  spec.chip_h_um = c.chip_um;
+  spec.h_capacity = c.h_cap;
+  spec.v_capacity = c.v_cap;
+  spec.local_sigma_regions = c.sigma;
+  const netlist::Netlist design = netlist::generate(spec);
+  GsinoParams params;
+  params.sensitivity_rate = c.rate;
+  params.lr_max_outer_pass2 = c.max_outer_pass2;
+  const RoutingProblem problem = make_problem(design, spec, params);
+  FlowSession session(problem);
+  FlowState fs = session.state(FlowKind::kGsino);
+  const LocalRefiner refiner(problem);
+  Pass2Trace t;
+  refiner.eliminate_violations(fs, t.stats);
+
+  std::vector<double> densities;
+  for (std::size_t si = 0; si < fs.solutions.size(); ++si) {
+    if (fs.solutions[si].empty()) continue;
+    if (fs.congestion->shields(sol_region(si), sol_dir(si)) < 1.0) continue;
+    densities.push_back(fs.solution_density(si));
+  }
+  std::sort(densities.begin(), densities.end());
+  for (std::size_t i = 1; i < densities.size(); ++i) {
+    t.eligible_ties += densities[i] == densities[i - 1] ? 1 : 0;
+  }
+
+  fs.observer = [&](const StageEvent& e) {
+    t.picks.push_back(e.region);
+    t.shields_after.push_back(
+        fs.congestion->shields(sol_region(e.region), sol_dir(e.region)));
+  };
+  refiner.reduce_congestion(fs, t.stats);
+  return t;
+}
+
+std::uint64_t sequence_hash(const std::vector<std::size_t>& picks) {
+  util::Fnv1a64 h;
+  for (const std::size_t si : picks) h.u64(si);
+  return h.value();
+}
+
+struct Pass2Golden {
+  Pass2Case fixture;
+  std::size_t picks;
+  std::uint64_t pick_hash;  ///< sequence_hash of the pick sequence
+  std::vector<std::size_t> first_picks;
+  int accepted, rejected, shields_removed, cap_hit;
+};
+
+// Recorded from the full-scan pass 2 before the heap replaced it (which
+// had no cap_hit; "capped" stops at a 40-iteration cap with eligible cells
+// left, the others run out of cells). Every fixture has many equal-density
+// eligible cells (integer track counts over a few capacities); "ties6" is
+// the dedicated one (uniform capacity, 6x6 grid).
+const Pass2Golden kPass2Goldens[] = {
+    {{"congested14", 500, 77, 14, 700.0, 12, 12, 2.5, 0.5, 4000},
+     440, 0x34607d040b2a6189ULL, {136, 16, 136, 268, 18, 79, 14, 18},
+     74, 366, 152, 0},
+    {{"tiny8", 300, 5, 8, 400.0, 10, 10, 1.2, 0.3, 4000},
+     95, 0x5fefb31c06574267ULL, {103, 89, 102, 105, 49, 71, 72, 101},
+     3, 92, 5, 0},
+    {{"ties6", 200, 11, 6, 300.0, 8, 8, 1.2, 0.5, 4000},
+     74, 0x3a4037a7ed6662d4ULL, {40, 42, 29, 38, 17, 18, 18, 31},
+     3, 71, 5, 0},
+    {{"capped", 500, 77, 14, 700.0, 12, 12, 2.5, 0.5, 40},
+     40, 0x12abfe1563123837ULL, {136, 16, 136, 268, 18, 79, 14, 18},
+     15, 25, 48, 1},
+    {{"mixedcap16", 600, 3, 16, 800.0, 14, 12, 2.0, 0.4, 4000},
+     545, 0x6e58f485c4308a2eULL, {129, 129, 97, 8, 161, 10, 97, 161},
+     102, 443, 202, 0},
+};
+
+TEST(RefinerPass2Order, MatchesThePinnedFullScanSequences) {
+  std::size_t dropped = 0;
+  for (const Pass2Golden& g : kPass2Goldens) {
+    SCOPED_TRACE(g.fixture.name);
+    const Pass2Trace t = run_pass2(g.fixture);
+    EXPECT_GT(t.eligible_ties, 0u);
+    ASSERT_EQ(t.picks.size(), g.picks);
+    const std::vector<std::size_t> head(
+        t.picks.begin(),
+        t.picks.begin() + static_cast<std::ptrdiff_t>(g.first_picks.size()));
+    EXPECT_EQ(head, g.first_picks);
+    EXPECT_EQ(sequence_hash(t.picks), g.pick_hash);
+    EXPECT_EQ(t.stats.pass2_accepted, g.accepted);
+    EXPECT_EQ(t.stats.pass2_rejected, g.rejected);
+    EXPECT_EQ(t.stats.pass2_shields_removed, g.shields_removed);
+    EXPECT_EQ(t.stats.pass2_cap_hit, g.cap_hit);
+
+    // A pick left with no shield is out for good: accepted, it is no
+    // longer eligible; rejected, it is retired.
+    for (std::size_t i = 0; i < t.picks.size(); ++i) {
+      if (t.shields_after[i] >= 1.0) continue;
+      ++dropped;
+      EXPECT_EQ(std::count(t.picks.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                           t.picks.end(), t.picks[i]),
+                0)
+          << "cell " << t.picks[i] << " re-picked after step " << i;
+    }
+  }
+  EXPECT_GT(dropped, 0u);  // the fixtures do exercise the case
+}
+
+/// A Phase II state of the congested fixture with every cell's shields
+/// cleared (nothing eligible), plus its non-empty cells of one direction.
+struct BareCells {
+  const Fixture fx;
+  const RoutingProblem problem = fx.problem();
+  FlowSession session{problem};
+  FlowState fs = session.state(FlowKind::kGsino);
+  std::vector<std::size_t> h_cells;
+
+  BareCells() {
+    for (std::size_t si = 0; si < fs.solutions.size(); ++si) {
+      fs.congestion->set_shields(sol_region(si), sol_dir(si), 0.0);
+      if (!fs.solutions[si].empty() && sol_dir(si) == grid::Dir::kHorizontal) {
+        h_cells.push_back(si);
+      }
+    }
+  }
+
+  void set(std::size_t si, double segments, double shields) {
+    fs.congestion->set_segments(sol_region(si), sol_dir(si), segments);
+    fs.congestion->set_shields(sol_region(si), sol_dir(si), shields);
+  }
+};
+
+TEST(RefinerPass2Order, LowestIndexWinsAmongEqualDensities) {
+  BareCells b;
+  ASSERT_GE(b.h_cells.size(), 4u);
+  const std::size_t a = b.h_cells[1], c = b.h_cells[2], d = b.h_cells[3];
+  for (const std::size_t si : {d, a, c}) b.set(si, 5.0, 2.0);
+
+  CongestedCells cells(b.fs);
+  ASSERT_FALSE(cells.empty());
+  EXPECT_EQ(cells.top(), a);
+  cells.retire(a);
+  EXPECT_EQ(cells.top(), c);
+
+  // Lowering the winner to the others' density hands the pick back to the
+  // lowest index of the tie; raising one alone makes it the pick.
+  b.set(d, 6.0, 2.0);
+  cells.refresh(b.fs, d);
+  EXPECT_EQ(cells.top(), d);
+  b.set(d, 5.0, 2.0);
+  cells.refresh(b.fs, d);
+  EXPECT_EQ(cells.top(), c);
+}
+
+TEST(RefinerPass2Order, CellLosingItsLastShieldDropsOut) {
+  BareCells b;
+  ASSERT_GE(b.h_cells.size(), 3u);
+  const std::size_t a = b.h_cells[0], c = b.h_cells[1], d = b.h_cells[2];
+  b.set(a, 9.0, 3.0);
+  b.set(c, 6.0, 1.0);
+  b.set(d, 4.0, 1.0);
+
+  CongestedCells cells(b.fs);
+  EXPECT_EQ(cells.top(), a);
+  // An accept that removes a's last shield: a stays denser than the rest,
+  // but with no shield it is no longer eligible.
+  b.set(a, 9.0, 0.0);
+  cells.refresh(b.fs, a);
+  std::vector<std::size_t> order;
+  while (!cells.empty()) {
+    order.push_back(cells.top());
+    cells.retire(cells.top());
+  }
+  EXPECT_EQ(order, (std::vector<std::size_t>{c, d}));
+}
+
+TEST(RefinerPass2Order, HeapMatchesBruteForceScanUnderRandomShieldChanges) {
+  // Drive CongestedCells the way pass 2 does — change the top cell's
+  // shields and refresh it, or retire it — and check every pick against
+  // the full scan over the same state.
+  const Fixture fx;
+  const RoutingProblem problem = fx.problem();
+  FlowSession session(problem);
+  FlowState fs = session.state(FlowKind::kGsino);
+  std::mt19937_64 rng(12);
+  std::uniform_int_distribution<int> coin(0, 3);
+
+  CongestedCells cells(fs);
+  std::set<std::size_t> done;
+  std::size_t steps = 0;
+  for (;;) {
+    std::size_t want = 0;
+    const bool found = brute_force_pick(fs, done, want);
+    ASSERT_EQ(!cells.empty(), found) << "step " << steps;
+    if (!found) break;
+    const std::size_t pick = cells.top();
+    ASSERT_EQ(pick, want) << "step " << steps;
+    const double shields =
+        fs.congestion->shields(sol_region(pick), sol_dir(pick));
+    if (coin(rng) == 0) {
+      done.insert(pick);
+      cells.retire(pick);
+    } else {
+      fs.congestion->set_shields(sol_region(pick), sol_dir(pick),
+                                 std::max(0.0, shields - 1.0));
+      cells.refresh(fs, pick);
+    }
+    ++steps;
+  }
+  EXPECT_GT(steps, 100u);
 }
 
 }  // namespace

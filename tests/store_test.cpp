@@ -213,6 +213,7 @@ TEST(StoreSerial, RefineRoundTripIsBitIdentical) {
             art->stats.pass2_shields_removed);
   EXPECT_EQ(loaded->stats.pass2_accepted, art->stats.pass2_accepted);
   EXPECT_EQ(loaded->stats.pass2_rejected, art->stats.pass2_rejected);
+  EXPECT_EQ(loaded->stats.pass2_cap_hit, art->stats.pass2_cap_hit);
   EXPECT_EQ(*loaded->net_lsk, *art->net_lsk);
   EXPECT_EQ(*loaded->net_noise, *art->net_noise);
   ASSERT_EQ(loaded->solutions->size(), art->solutions->size());
@@ -235,6 +236,14 @@ TEST(StoreSerial, RefineRoundTripIsBitIdentical) {
   // The record is pinned to its Phase III configuration: loading it under
   // the other batch_pass2 setting is a miss, not a wrong answer.
   EXPECT_EQ(store::load_refine(bytes, p, solve, true), nullptr);
+
+  // A capped pass 2 stays visible after a warm load.
+  RefineArtifact capped = *art;
+  capped.stats.pass2_cap_hit = 1;
+  const auto capped_loaded =
+      store::load_refine(store::save(capped, false), p, solve, false);
+  ASSERT_NE(capped_loaded, nullptr);
+  EXPECT_EQ(capped_loaded->stats.pass2_cap_hit, 1);
 }
 
 // ------------------------------------------------------- rejection paths

@@ -63,10 +63,11 @@ REQUIRED_METRICS = [
     "router.reinserts", "router.prerouted_nets", "router.rsmt_fallback_nets",
     "router.spec_attempted", "router.spec_committed", "router.spec_replayed",
     "router.runtime_s",
-    # refine.* — RefineStats (11)
+    # refine.* — RefineStats (12)
     "refine.pass1_nets_fixed", "refine.pass1_resolves",
     "refine.pass1_gave_up", "refine.pass2_shields_removed",
-    "refine.pass2_accepted", "refine.pass2_rejected", "refine.batch_sweeps",
+    "refine.pass2_accepted", "refine.pass2_rejected", "refine.pass2_cap_hit",
+    "refine.batch_sweeps",
     "refine.batch_regions_resolved", "refine.spec_attempted",
     "refine.spec_committed", "refine.spec_replayed",
     # resource.* — ResourceSampler gauges (5)
