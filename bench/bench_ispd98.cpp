@@ -1,7 +1,6 @@
 // ISPD98-class end-to-end harness: every ibm01-ibm06 size class through
 // the full staged session — route -> budget -> solve_regions -> refine —
-// with wall seconds, CPU seconds, and peak RSS recorded per stage, plus a
-// tiled-vs-dense per-region storage comparison on the largest class.
+// with wall seconds, CPU seconds, and peak RSS recorded per stage.
 //
 //   bench_ispd98 --benchmark_out=BENCH_ispd98.json \
 //                --benchmark_out_format=json
@@ -50,7 +49,6 @@
 
 #include "core/problem.h"
 #include "core/session.h"
-#include "grid/tiled.h"
 #include "netlist/ispd98_synth.h"
 #include "obs/trace.h"
 
@@ -247,97 +245,11 @@ void BM_Ispd98Session(benchmark::State& state, std::size_t idx) {
   }
 }
 
-/// The largest class's fabric carrying every 100th net: the ECO /
-/// scenario-slice shape — an ISPD98-size grid whose traffic is genuinely
-/// sparse (a clock tree, a bus, an incremental re-route) — that
-/// motivates tiled per-region storage. Cells (and the fabric) stay full
-/// size; only the net list thins.
-const RoutingProblem& sparse_slice_problem() {
-  static std::unique_ptr<RoutingProblem> problem;
-  if (problem == nullptr) {
-    netlist::Ispd98Instance inst =
-        netlist::make_ispd98_instance(classes().back());
-    netlist::Netlist slice(inst.design.name() + "-slice",
-                           inst.design.width_um(), inst.design.height_um());
-    for (const netlist::Cell& c : inst.design.cells()) slice.add_cell(c);
-    for (std::size_t n = 0; n < inst.design.net_count(); n += 100) {
-      slice.add_net(inst.design.net(static_cast<netlist::NetId>(n)));
-    }
-    GsinoParams params;
-    problem = std::make_unique<RoutingProblem>(slice, inst.gspec, params);
-  }
-  return *problem;
-}
-
-/// Tiled-vs-dense per-region storage: the same staged GSINO flow with
-/// the process default flipped, recording the flow peak plus the exact
-/// bytes of the final congestion map. Output artifacts are bit-identical
-/// across modes (grid/tiled.h contract); only memory moves. Two tiers:
-/// `sparse` = true runs the ECO-shaped slice above (where dense pays the
-/// whole fabric for a sliver of traffic), false the full-traffic flow
-/// (where the modes converge — the honest upper bound). Each tiled
-/// variant is registered (and therefore runs) before its dense partner
-/// so neither inherits the other's watermark even if clear_refs is
-/// unavailable.
-void BM_Ispd98Storage(benchmark::State& state, grid::RegionStorage mode,
-                      bool sparse) {
-  const RoutingProblem& problem =
-      sparse ? sparse_slice_problem()
-             : *context_for(classes().size() - 1).problem;
-  const grid::RegionStorage before = grid::default_region_storage();
-
-  double rss_mib = 0.0, cpu_s = 0.0, congestion_bytes = 0.0, wall_s = 0.0;
-  std::uint64_t check = 0;
-  for (auto _ : state) {
-    grid::set_default_region_storage(mode);
-    FlowSession session(problem);
-    reset_peak_rss();
-    const double cpu0 = cpu_seconds();
-    const FlowResult fr = session.run(FlowKind::kGsino);
-    cpu_s = cpu_seconds() - cpu0;
-    rss_mib = peak_rss_mib();
-    wall_s = fr.timing.route_s + fr.timing.sino_s + fr.timing.refine_s;
-    congestion_bytes = static_cast<double>(fr.congestion->storage_bytes());
-    check = fr.violating;
-    benchmark::DoNotOptimize(fr);
-    grid::set_default_region_storage(before);
-  }
-
-  state.counters["nets"] = static_cast<double>(problem.net_count());
-  state.counters["regions"] =
-      static_cast<double>(problem.grid().region_count());
-  state.counters["flow_wall_s"] = wall_s;
-  state.counters["flow_cpu_s"] = cpu_s;
-  state.counters["rss_peak_mib"] = rss_mib;
-  state.counters["congestion_bytes"] = congestion_bytes;
-  state.counters["violations"] = static_cast<double>(check);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto& suite = classes();
-  // Storage A/B pairs first (each tiled before its dense partner — see
-  // BM_Ispd98Storage), then the six size classes smallest to largest.
-  struct StorageReg {
-    const char* name;
-    grid::RegionStorage mode;
-    bool sparse;
-  };
-  for (const StorageReg& reg :
-       {StorageReg{"BM_Ispd98SparseStorage/tiled",
-                   grid::RegionStorage::kTiled, true},
-        StorageReg{"BM_Ispd98SparseStorage/dense",
-                   grid::RegionStorage::kDense, true},
-        StorageReg{"BM_Ispd98Storage/tiled", grid::RegionStorage::kTiled,
-                   false},
-        StorageReg{"BM_Ispd98Storage/dense", grid::RegionStorage::kDense,
-                   false}}) {
-    benchmark::RegisterBenchmark(reg.name, BM_Ispd98Storage, reg.mode,
-                                 reg.sparse)
-        ->Unit(benchmark::kSecond)
-        ->Iterations(1);
-  }
+  // The six size classes, smallest to largest.
   for (std::size_t i = 0; i < suite.size(); ++i) {
     benchmark::RegisterBenchmark(
         ("BM_Ispd98Session/" + suite[i].name).c_str(), BM_Ispd98Session, i)

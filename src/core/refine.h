@@ -33,19 +33,11 @@
 // serial pass, so batched results differ from batch_pass2=false (the
 // goldens pin the serial pass).
 //
-// Speculative pass 1 (RefineOptions::speculate_batch, parallel/speculate.h):
-// pass 1 is inherently sequential — each outer step's worst-violator pick
-// and fix attempt read the state every earlier attempt committed. With
-// speculation on, up to `speculate_batch` whole fix attempts (for the k
-// worst violating nets) are evaluated concurrently on copy-on-write
-// overlays of a frozen snapshot, each recording the (region, LSK-entry)
-// read set it touched. The unchanged serial order then applies a memoized
-// attempt only when its read set is still at the snapshot versions —
-// proving the overlay equals, bit for bit, what the serial attempt would
-// have computed — and replays invalidated attempts serially. Unlike
-// batch_pass2, this changes neither the visit order nor the output: the
-// refined state is bit-identical to the serial pass at every
-// (threads, speculate_batch) combination, so every golden holds.
+// Pass 1 is one serial loop: each outer step's worst-violator pick and
+// fix attempt read the state every earlier attempt committed. (A variant
+// that evaluated the k worst violators' attempts ahead of time across the
+// pool was removed: on the ISPD98 classes Phase II leaves pass 1 with 0-12
+// violating nets, so there was nothing to overlap.)
 #pragma once
 
 #include "core/session.h"
@@ -86,13 +78,8 @@ class LocalRefiner {
   /// Run pass 1 then pass 2 on a flow state produced by Phase II.
   RefineStats refine(FlowState& fs, const RefineOptions& options = {}) const;
 
-  /// Individual passes (exposed for tests and the ablation bench). Pass 1
-  /// speculates fix attempts across the pool when
-  /// options.speculate_batch > 1 and the effective thread count is > 1;
-  /// its refined state is bit-identical to the serial pass either way
-  /// (parallel/speculate.h).
-  void eliminate_violations(FlowState& fs, RefineStats& stats,
-                            const RefineOptions& options = {}) const;
+  /// Individual passes (exposed for tests and the ablation bench).
+  void eliminate_violations(FlowState& fs, RefineStats& stats) const;
   void reduce_congestion(FlowState& fs, RefineStats& stats) const;
   void reduce_congestion_batched(FlowState& fs, RefineStats& stats,
                                  const RefineOptions& options) const;

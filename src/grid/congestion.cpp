@@ -4,10 +4,9 @@
 
 namespace rlcr::grid {
 
-CongestionMap::CongestionMap(const RegionGrid& grid, RegionStorage storage)
-    : grid_(&grid) {
-  for (auto& v : seg_) v.reset(grid.region_count(), storage);
-  for (auto& v : shield_) v.reset(grid.region_count(), storage);
+CongestionMap::CongestionMap(const RegionGrid& grid) : grid_(&grid) {
+  for (auto& v : seg_) v.reset(grid.region_count());
+  for (auto& v : shield_) v.reset(grid.region_count());
 }
 
 void CongestionMap::clear() {
@@ -20,8 +19,8 @@ namespace {
 /// Visit every region held by at least one allocated tile of the four
 /// stores, in ascending region order, calling f(region). Tiles skipped
 /// here hold exactly-zero utilization and shields in every direction, so
-/// aggregates over the visited set match the dense full scan bit for bit
-/// (the four stores share one tiling: same size, same mode).
+/// aggregates over the visited set match a full index-order scan bit for
+/// bit (the four stores share one tiling: same size).
 template <typename F>
 void for_each_live_region(const TiledVec<double> (&seg)[2],
                           const TiledVec<double> (&shield)[2], F&& f) {

@@ -24,19 +24,15 @@ namespace rlcr::grid {
 /// Segment and shield counts are doubles so the router can work with the
 /// fractional shield *estimates* of Eq. (3) before any SINO solution exists.
 ///
-/// Storage is per-region tiled by default (grid/tiled.h): ISPD98-size
-/// grids allocate only the tiles traffic touches, and the whole-grid
-/// aggregates below skip unallocated tiles — with results bit-identical to
-/// the dense scan (skipped regions contribute exactly zero). Pass
-/// RegionStorage::kDense (or build with RLCR_DENSE_GRID) for the
-/// historical flat arrays.
+/// Storage is per-region tiled (grid/tiled.h): ISPD98-size grids allocate
+/// only the tiles traffic touches, and the whole-grid aggregates below skip
+/// unallocated tiles — with results bit-identical to a full index-order
+/// scan (skipped regions contribute exactly zero).
 class CongestionMap {
  public:
-  explicit CongestionMap(const RegionGrid& grid,
-                         RegionStorage storage = default_region_storage());
+  explicit CongestionMap(const RegionGrid& grid);
 
   const RegionGrid& grid() const { return *grid_; }
-  RegionStorage storage() const { return seg_[0].storage(); }
 
   double segments(std::size_t region, Dir d) const {
     return seg_[static_cast<std::size_t>(d)][region];
@@ -80,8 +76,8 @@ class CongestionMap {
   /// Total shield count over all regions.
   double total_shields() const;
 
-  /// Heap bytes held by the four per-region stores (the dense-vs-tiled
-  /// comparison surface recorded by bench_ispd98).
+  /// Heap bytes held by the four per-region stores (recorded by
+  /// bench_ispd98).
   std::size_t storage_bytes() const;
 
  private:

@@ -1,58 +1,42 @@
-// Tiled per-region storage for ISPD98-size grids with sparse traffic.
+// Tiled per-region storage: the one layout of every per-(region, dir)
+// container in the flow.
 //
-// Every per-(region, dir) accumulator in the flow — CongestionMap's
-// segment/shield counts, the ID router's RegionStats and density/overflow
-// caches — was historically a dense array over the whole grid. That is the
-// right shape for the 64x64 proxy tiers, but an ISPD98-class instance puts
-// tens of thousands of regions under a netlist whose traffic touches only
-// the placed core: dense arrays pay full-grid memory (and full-grid scans
-// in the aggregate loops) for regions no net ever crosses.
-//
-// TiledVec<T> keeps the flat index space but backs it with fixed-size
-// dense tiles allocated on first *write*:
+// CongestionMap's segment/shield counts, the ID router's RegionStats and
+// density/overflow caches, and the occupancy index all keep a flat index
+// space over the whole grid, but an ISPD98-class instance puts tens of
+// thousands of regions under a netlist whose traffic touches only the
+// placed core. TiledVec<T> backs the flat index space with fixed-size
+// tiles allocated on first *write*:
 //   - reads of an unallocated tile return a value-initialized T (exactly
-//     the value a freshly assigned dense slot holds) without allocating,
-//     so read paths — including the router's lock-free parallel heap-key
-//     pass — never mutate shared state;
+//     the value a freshly assigned slot holds) without allocating, so read
+//     paths — including the router's lock-free parallel heap-key pass —
+//     never mutate shared state;
 //   - writes go through ref(), which materializes the tile;
 //   - aggregate loops skip whole unallocated tiles via tile_allocated()
 //     while visiting allocated entries in ascending index order, so sums
-//     see the same floating-point op order as the dense scan minus terms
-//     that are exactly zero — bit-identical results (pinned by the router
-//     and session goldens in both modes).
+//     see the same floating-point op order as a full index-order scan minus
+//     terms that are exactly zero — bit-identical results.
 //
-// The dense path is retained: RegionStorage::kDense backs the container
-// with one flat vector (tile_allocated() is then always true, so every
-// loop degenerates to the historical full scan). The process-wide default
-// is tiled; configure with -DRLCR_DENSE_GRID=ON to default every container
-// to dense (the small proxy tiers lose nothing, and the flag doubles as
-// the A/B switch for the bench_ispd98 storage comparison, which flips the
-// default at runtime via set_default_region_storage()).
+// Why tiles only: a flat whole-grid layout was kept as a build option
+// until it was measured end to end on full-size ibm01 (perfbench, 4-vCPU
+// x86 box). It was not faster — cold-flow median op time 4.80-5.43 s tiled
+// against 5.22-5.67 s flat, the other workloads within noise — and saved
+// no memory: with glibc's mmap threshold pinned
+// (GLIBC_TUNABLES=glibc.malloc.mmap_threshold=131072) the cold flow peaks
+// at 170.3 MiB flat and 170.6 MiB tiled. Unpinned, the cold-flow peak
+// lands at either ~171 or ~183 MiB depending on allocation sizes alone,
+// for either layout. Tiles still keep sparse-traffic grids small (66
+// against 80 MiB peak on a 349-net slice of the ibm06 fabric), so the flat
+// layout was deleted.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace rlcr::grid {
 
-/// Backing layout of a per-region container.
-enum class RegionStorage : std::uint8_t {
-  kTiled,  ///< dense tiles allocated on first write
-  kDense,  ///< one flat array over the whole index space (historical)
-};
-
-/// Process-wide default for containers constructed without an explicit
-/// mode. Starts as kTiled (kDense when built with RLCR_DENSE_GRID).
-RegionStorage default_region_storage();
-
-/// Override the process-wide default. Not synchronized: call it from the
-/// main thread while no sessions are running (benches and tests flipping
-/// the A/B switch; long-lived services pick one mode at startup).
-void set_default_region_storage(RegionStorage storage);
-
-/// Flat vector of T over [0, size) backed by first-touch tiles or by one
-/// dense array. T must be value-initializable to its "empty" state.
+/// Flat vector of T over [0, size) backed by first-touch tiles. T must be
+/// value-initializable to its "empty" state.
 template <typename T>
 class TiledVec {
  public:
@@ -65,94 +49,66 @@ class TiledVec {
   static constexpr std::size_t kTileSize = std::size_t{1} << kTileBits;
 
   TiledVec() = default;
-  TiledVec(std::size_t size, RegionStorage storage) { reset(size, storage); }
+  explicit TiledVec(std::size_t size) { reset(size); }
 
-  void reset(std::size_t size, RegionStorage storage) {
+  void reset(std::size_t size) {
     size_ = size;
-    storage_ = storage;
     tiles_.clear();
-    dense_.clear();
-    if (storage == RegionStorage::kDense) {
-      dense_.assign(size, T{});
-    } else {
-      tiles_.resize((size + kTileSize - 1) >> kTileBits);
-    }
+    tiles_.resize((size + kTileSize - 1) >> kTileBits);
   }
 
   std::size_t size() const { return size_; }
-  RegionStorage storage() const { return storage_; }
 
   /// Read without allocating; an untouched slot is value-initialized.
   const T& operator[](std::size_t i) const {
-    if (storage_ == RegionStorage::kDense) return dense_[i];
     const std::vector<T>& tile = tiles_[i >> kTileBits];
     return tile.empty() ? zero_ : tile[i & (kTileSize - 1)];
   }
 
   /// Mutable access; materializes the enclosing tile on first touch.
   T& ref(std::size_t i) {
-    if (storage_ == RegionStorage::kDense) return dense_[i];
     std::vector<T>& tile = tiles_[i >> kTileBits];
     if (tile.empty()) tile.assign(kTileSize, T{});
     return tile[i & (kTileSize - 1)];
   }
 
-  /// Number of tile slots covering the index space (1 in dense mode — the
-  /// whole array acts as one always-allocated tile).
-  std::size_t tile_count() const {
-    return storage_ == RegionStorage::kDense ? (size_ > 0 ? 1 : 0)
-                                             : tiles_.size();
-  }
+  /// Number of tile slots covering the index space.
+  std::size_t tile_count() const { return tiles_.size(); }
   /// First index covered by tile t.
-  std::size_t tile_begin(std::size_t t) const {
-    return storage_ == RegionStorage::kDense ? 0 : t << kTileBits;
-  }
+  std::size_t tile_begin(std::size_t t) const { return t << kTileBits; }
   /// One past the last index covered by tile t.
   std::size_t tile_end(std::size_t t) const {
-    if (storage_ == RegionStorage::kDense) return size_;
     const std::size_t end = (t + 1) << kTileBits;
     return end < size_ ? end : size_;
   }
-  /// True when tile t holds materialized values. Dense mode is one big
-  /// always-allocated tile, so every skip-if-empty loop degenerates to
-  /// the historical full scan there.
-  bool tile_allocated(std::size_t t) const {
-    return storage_ == RegionStorage::kDense || !tiles_[t].empty();
-  }
+  /// True when tile t holds materialized values.
+  bool tile_allocated(std::size_t t) const { return !tiles_[t].empty(); }
 
   std::size_t allocated_tiles() const {
-    if (storage_ == RegionStorage::kDense) return size_ > 0 ? 1 : 0;
     std::size_t n = 0;
     for (const auto& tile : tiles_) n += !tile.empty();
     return n;
   }
 
-  /// Heap bytes held by the backing store (the memory the dense/tiled
-  /// trade-off is about; excludes the tile-pointer table).
+  /// Heap bytes held by the allocated tiles (excludes the tile-pointer
+  /// table).
   std::size_t storage_bytes() const {
-    if (storage_ == RegionStorage::kDense) return dense_.capacity() * sizeof(T);
     return allocated_tiles() * kTileSize * sizeof(T);
   }
 
-  /// Drop every value back to the value-initialized state. Tiled mode
-  /// releases the tiles (matching a fresh container), dense mode refills.
+  /// Drop every value back to the value-initialized state, releasing the
+  /// tiles (matching a fresh container).
   void clear() {
-    if (storage_ == RegionStorage::kDense) {
-      dense_.assign(size_, T{});
-    } else {
-      for (auto& tile : tiles_) {
-        tile.clear();
-        tile.shrink_to_fit();
-      }
+    for (auto& tile : tiles_) {
+      tile.clear();
+      tile.shrink_to_fit();
     }
   }
 
  private:
   inline static const T zero_{};
   std::size_t size_ = 0;
-  RegionStorage storage_ = RegionStorage::kTiled;
   std::vector<std::vector<T>> tiles_;  ///< empty vector = unallocated tile
-  std::vector<T> dense_;
 };
 
 }  // namespace rlcr::grid

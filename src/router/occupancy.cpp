@@ -7,9 +7,7 @@ namespace rlcr::router {
 Occupancy::Occupancy(const grid::RegionGrid& grid,
                      const std::vector<NetRoute>& routes)
     : grid_(&grid) {
-  for (auto& v : by_region_) {
-    v.reset(grid.region_count(), grid::default_region_storage());
-  }
+  for (auto& v : by_region_) v.reset(grid.region_count());
   by_net_.resize(routes.size());
 
   // Count incident edges per (region, dir) for each net, then convert to

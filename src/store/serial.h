@@ -36,15 +36,18 @@
 
 namespace rlcr::store {
 
-/// v2: RoutingStats gained the deletion-loop speculation counters
-/// (spec_attempted/committed/replayed). A version bump — not an optional
+/// v2: RoutingStats gained the deletion-loop spec_attempted/committed/
+/// replayed counters. A version bump — not an optional
 /// tail — keeps the "any validation failure loads as null" rule simple:
 /// v1 records are treated as misses and recompute.
 /// v3: the routing profile gained tree_profile + tree_profile_overrides
 /// (steiner quality tiers) and RoutingStats gained rsmt_fallback_nets;
 /// same rule — v2 records load as misses and recompute.
 /// v4: RefineStats gained pass2_cap_hit; v3 records load as misses.
-inline constexpr std::uint32_t kFormatVersion = 4;
+/// v5: the routing and refine payloads dropped their spec_attempted/
+/// committed/replayed counters (the deletion loop and refine pass 1 are
+/// serial-only); v4 records load as misses.
+inline constexpr std::uint32_t kFormatVersion = 5;
 
 enum class ArtifactType : std::uint32_t {
   kRouting = 1,
@@ -62,7 +65,7 @@ std::vector<std::uint8_t> save(const gsino::RoutingArtifact& art);
 std::vector<std::uint8_t> save(const gsino::BudgetArtifact& art);
 std::vector<std::uint8_t> save(const gsino::RegionSolveArtifact& art);
 /// `batch_pass2` is the one Phase III knob that changes refined output
-/// (RefineOptions; threads/speculate_batch never do). It rides in the
+/// (RefineOptions; threads never does). It rides in the
 /// payload as the record's identity cross-check — RefineArtifact itself
 /// does not carry it.
 std::vector<std::uint8_t> save(const gsino::RefineArtifact& art,

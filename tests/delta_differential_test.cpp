@@ -4,8 +4,8 @@
 // artifacts in place — is bit-identical (route hash + state fingerprint)
 // to a from-scratch session built on the mutated problem. The property
 // sweep then holds the same chain fixed while varying everything that
-// must not matter: thread count, serial vs speculative execution, with
-// vs without the persistent store, tiled vs dense region storage.
+// must not matter: thread count, and with vs without the persistent
+// store.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/session.h"
-#include "grid/tiled.h"
 #include "netlist/synthetic.h"
 #include "scenario/delta.h"
 #include "store/artifact_store.h"
@@ -69,34 +68,20 @@ StepState observe(const gsino::FlowResult& fr) {
 /// Everything that must NOT change the chain's states.
 struct Config {
   int threads = 1;
-  int speculate_batch = 1;  ///< 1 = exact serial path, >1 = speculative
   bool with_store = false;
-  grid::RegionStorage storage = grid::RegionStorage::kTiled;
 };
 
 gsino::GsinoParams configured(gsino::GsinoParams params, const Config& cfg) {
   params.threads = cfg.threads;
   params.router.threads = cfg.threads;
-  params.router.speculate_batch = cfg.speculate_batch;
   return params;
 }
 
 gsino::Scenario refine_scenario(const Config& cfg) {
   gsino::Scenario scenario;
   scenario.refine.threads = cfg.threads;
-  scenario.refine.speculate_batch = cfg.speculate_batch;
   return scenario;
 }
-
-/// Pins the process-wide region-storage default for one scope.
-struct StorageGuard {
-  grid::RegionStorage saved;
-  explicit StorageGuard(grid::RegionStorage s)
-      : saved(grid::default_region_storage()) {
-    grid::set_default_region_storage(s);
-  }
-  ~StorageGuard() { grid::set_default_region_storage(saved); }
-};
 
 std::shared_ptr<store::ArtifactStore> make_store(const std::string& name) {
   const fs::path dir = fs::path(::testing::TempDir()) / "rlcr_delta" / name;
@@ -115,7 +100,6 @@ std::vector<StepState> run_incremental(const Pipeline& pipe, const Config& cfg,
                                        std::size_t steps, std::size_t changes,
                                        const std::string& store_name,
                                        gsino::StageCounters* counters = nullptr) {
-  const StorageGuard guard(cfg.storage);
   const gsino::RoutingProblem p0 =
       gsino::make_problem(pipe.design, pipe.spec, configured(pipe.params, cfg));
   gsino::SessionOptions opts;
@@ -139,7 +123,6 @@ std::vector<StepState> run_incremental(const Pipeline& pipe, const Config& cfg,
 /// shared slot-preserving transform and run a brand-new session on it.
 std::vector<StepState> run_scratch(const Pipeline& pipe, const Config& cfg,
                                    std::size_t steps, std::size_t changes) {
-  const StorageGuard guard(cfg.storage);
   gsino::RoutingProblem p =
       gsino::make_problem(pipe.design, pipe.spec, configured(pipe.params, cfg));
   const gsino::Scenario scenario = refine_scenario(cfg);
@@ -194,7 +177,6 @@ TEST(DeltaDifferential, ChainMatchesFromScratchAtOneAndEightThreads) {
 
   Config parallel8;
   parallel8.threads = 8;
-  parallel8.speculate_batch = 8;
   const auto inc8 = run_incremental(pipe, parallel8, kSteps, kChanges, "t8");
   const auto scratch8 = run_scratch(pipe, parallel8, kSteps, kChanges);
   for (std::size_t i = 0; i < inc8.size(); ++i) {
@@ -349,8 +331,8 @@ TEST(DeltaDifferential, ClusteredDesignReusesRoutes) {
 
 // The same chain converges to the same per-step states under every
 // environment the determinism contract covers: with and without the
-// persistent store, serial and speculative, tiled and dense region
-// storage. The baseline is the serial/no-store/tiled incremental arm.
+// persistent store, at 1 and 8 threads. The baseline is the
+// 1-thread/no-store incremental arm.
 TEST(DeltaDifferential, PropertySweepConvergesAcrossEnvironments) {
   const Pipeline pipe(250, 21);
   const std::size_t kSteps = 2, kChanges = 5;
@@ -370,22 +352,14 @@ TEST(DeltaDifferential, PropertySweepConvergesAcrossEnvironments) {
     variants.push_back(v);
   }
   {
-    Variant v{"speculative", {}};
-    v.cfg.threads = 4;
-    v.cfg.speculate_batch = 8;
+    Variant v{"threads8", {}};
+    v.cfg.threads = 8;
     variants.push_back(v);
   }
   {
-    Variant v{"dense", {}};
-    v.cfg.storage = grid::RegionStorage::kDense;
-    variants.push_back(v);
-  }
-  {
-    Variant v{"dense+store+speculative", {}};
+    Variant v{"threads8+store", {}};
     v.cfg.with_store = true;
-    v.cfg.threads = 4;
-    v.cfg.speculate_batch = 8;
-    v.cfg.storage = grid::RegionStorage::kDense;
+    v.cfg.threads = 8;
     variants.push_back(v);
   }
 

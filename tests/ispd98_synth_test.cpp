@@ -1,8 +1,7 @@
 // ISPD98-class generator and instance-discovery tests. The full-size
 // ibm01-class fingerprint is pinned as a golden so the generator cannot
 // drift across PRs (every downstream scaling number is keyed to these
-// instances), and the staged flow is checked bit-identical between the
-// tiled and dense per-region storage modes.
+// instances).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,11 +9,7 @@
 #include <fstream>
 #include <string>
 
-#include "core/problem.h"
-#include "core/session.h"
-#include "grid/tiled.h"
 #include "netlist/ispd98_synth.h"
-#include "router/route_types.h"
 
 namespace rlcr::netlist {
 namespace {
@@ -168,37 +163,6 @@ TEST(Ispd98Instance, ScaledSpecsNeverSubstituteRealFiles) {
   EXPECT_FALSE(inst.real);
   EXPECT_EQ(inst.source, "synthetic");
   EXPECT_EQ(inst.design.net_count(), scaled[0].nets);
-}
-
-TEST(Ispd98Flow, TiledAndDenseSessionsBitIdentical) {
-  // The staged session on an ISPD98-class instance is bit-identical
-  // between the tiled and dense per-region storage modes, end to end.
-  ::unsetenv("RLCR_ISPD98_DIR");
-  const auto classes = ispd98_classes(0.03);
-  const Ispd98Instance inst = make_ispd98_instance(classes[0]);
-  gsino::GsinoParams params;
-  const gsino::RoutingProblem problem(inst.design, inst.gspec, params);
-
-  const grid::RegionStorage before = grid::default_region_storage();
-  auto run = [&](grid::RegionStorage mode) {
-    grid::set_default_region_storage(mode);
-    gsino::FlowSession session(problem);
-    return session.run(gsino::FlowKind::kGsino);
-  };
-  const gsino::FlowResult tiled = run(grid::RegionStorage::kTiled);
-  const gsino::FlowResult dense = run(grid::RegionStorage::kDense);
-  grid::set_default_region_storage(before);
-
-  EXPECT_EQ(router::route_hash(*tiled.phase1->routing),
-            router::route_hash(*dense.phase1->routing));
-  EXPECT_EQ(tiled.violating, dense.violating);
-  EXPECT_EQ(tiled.total_shields, dense.total_shields);
-  EXPECT_EQ(tiled.area.width_um, dense.area.width_um);
-  ASSERT_EQ(tiled.net_lsk().size(), dense.net_lsk().size());
-  for (std::size_t n = 0; n < tiled.net_lsk().size(); ++n) {
-    EXPECT_EQ(tiled.net_lsk()[n], dense.net_lsk()[n]);
-    EXPECT_EQ(tiled.net_noise()[n], dense.net_noise()[n]);
-  }
 }
 
 }  // namespace

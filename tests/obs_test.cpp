@@ -245,11 +245,11 @@ TEST(Metrics, SnapshotOverwritesByNameAndExportsSortedJson) {
 }
 
 TEST(Metrics, EveryStatsFieldAppearsInTheRegistryExactlyOnce) {
-  // Fill every field of the five source structs with a distinct value,
-  // adapt them all into one snapshot, and require (a) the total metric
-  // count to equal the total field count — no field dropped, no name
-  // collision across adapters — and (b) every expected name to carry its
-  // struct's value. The sizeof static_asserts in obs/metrics.cpp catch
+  // Fill every exported field of the four source structs with a distinct
+  // value, adapt them all into one snapshot, and require (a) the total
+  // metric count to equal the exported field count — no field dropped, no
+  // name collision across adapters — and (b) every expected name to carry
+  // its struct's value. The sizeof static_asserts in obs/metrics.cpp catch
   // new fields at compile time; this test catches adapter typos.
   StageCounters c;
   std::size_t v = 1;
@@ -265,12 +265,6 @@ TEST(Metrics, EveryStatsFieldAppearsInTheRegistryExactlyOnce) {
   c.refine_requests = v++;
   c.refine_executed = v++;
   c.refine_loaded = v++;
-  c.route_spec_attempted = v++;
-  c.route_spec_committed = v++;
-  c.route_spec_replayed = v++;
-  c.refine_spec_attempted = v++;
-  c.refine_spec_committed = v++;
-  c.refine_spec_replayed = v++;
   c.delta_applies = v++;
   c.delta_nets_rerouted = v++;
   c.delta_nets_reused = v++;
@@ -284,9 +278,6 @@ TEST(Metrics, EveryStatsFieldAppearsInTheRegistryExactlyOnce) {
   r.reinserts = v++;
   r.prerouted_nets = v++;
   r.rsmt_fallback_nets = v++;
-  r.spec_attempted = v++;
-  r.spec_committed = v++;
-  r.spec_replayed = v++;
   r.runtime_s = 0.25;
 
   RefineStats f;
@@ -299,9 +290,6 @@ TEST(Metrics, EveryStatsFieldAppearsInTheRegistryExactlyOnce) {
   f.pass2_cap_hit = static_cast<int>(v++);
   f.batch_sweeps = static_cast<int>(v++);
   f.batch_regions_resolved = static_cast<int>(v++);
-  f.spec_attempted = static_cast<int>(v++);
-  f.spec_committed = static_cast<int>(v++);
-  f.spec_replayed = static_cast<int>(v++);
 
   store::StoreStats st;
   st.hits = v++;
@@ -314,39 +302,29 @@ TEST(Metrics, EveryStatsFieldAppearsInTheRegistryExactlyOnce) {
   st.bytes_written = v++;
   st.bytes_read = v++;
 
-  parallel::SpecStats sp;
-  sp.attempted = v++;
-  sp.committed = v++;
-  sp.replayed = v++;
-
   obs::MetricsSnapshot snap;
   obs::append_metrics(snap, c);
   obs::append_metrics(snap, r);
   obs::append_metrics(snap, f);
   obs::append_metrics(snap, st);
-  obs::append_metrics(snap, sp);
 
-  // 23 + 10 + 12 + 9 + 3 fields across the five structs.
-  EXPECT_EQ(snap.metrics().size(), 57u);
+  // 17 + 7 + 9 + 9 exported fields across the four structs.
+  EXPECT_EQ(snap.metrics().size(), 42u);
 
   const std::vector<std::pair<std::string, double>> expected = {
       {"session.route_requests", 1},
       {"session.refine_loaded", 12},
-      {"session.refine_spec_replayed", 18},
-      {"session.delta_applies", 19},
-      {"session.delta_regions_reused", 23},
-      {"router.edges_initial", 24},
-      {"router.rsmt_fallback_nets", 29},
-      {"router.spec_replayed", 32},
+      {"session.delta_applies", 13},
+      {"session.delta_regions_reused", 17},
+      {"router.edges_initial", 18},
+      {"router.rsmt_fallback_nets", 23},
       {"router.runtime_s", 0.25},
-      {"refine.pass1_nets_fixed", 33},
-      {"refine.pass2_cap_hit", 39},
-      {"refine.spec_replayed", 44},
-      {"store.hits", 45},
-      {"store.lock_waits", 51},
-      {"store.bytes_read", 53},
-      {"spec.attempted", 54},
-      {"spec.replayed", 56},
+      {"refine.pass1_nets_fixed", 24},
+      {"refine.pass2_cap_hit", 30},
+      {"refine.batch_regions_resolved", 32},
+      {"store.hits", 33},
+      {"store.lock_waits", 39},
+      {"store.bytes_read", 41},
   };
   for (const auto& [name, want] : expected) {
     EXPECT_TRUE(snap.has(name)) << name;

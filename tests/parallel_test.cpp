@@ -2,8 +2,9 @@
 // algorithms' determinism contract (bit-identical results at any thread
 // count), deterministic exception propagation, and cross-thread-count
 // golden assertions for the three wired consumers (ID router, SINO batch,
-// LSK sampling). threads == 1 is the exact serial path, so agreement with
-// it at 2 and 8 threads is the determinism oracle.
+// LSK sampling) and for a whole GSINO session. threads == 1 is the exact
+// serial path, so agreement with it at 2 and 8 threads is the determinism
+// oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,11 +15,14 @@
 #include <string>
 #include <vector>
 
+#include "core/experiment.h"
+#include "core/session.h"
 #include "grid/region_grid.h"
 #include "ktable/lsk_builder.h"
 #include "parallel/parallel_for.h"
 #include "parallel/thread_pool.h"
 #include "router/id_router.h"
+#include "router/route_types.h"
 #include "sino/batch.h"
 #include "sino/instance.h"
 #include "sino/nss.h"
@@ -370,6 +374,60 @@ TEST(ParallelDeterminism, LskSamplesBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(res[i].length_um, serial[i].length_um);
       EXPECT_EQ(res[i].ki, serial[i].ki);
     }
+  }
+}
+
+TEST(ParallelDeterminism, GsinoSessionBitIdenticalAcrossThreadCounts) {
+  // A congested little problem that leaves Phase II with violations, so
+  // refine pass 1 really runs; every layer gets the same thread count.
+  netlist::SyntheticSpec spec = netlist::tiny_spec(500, 77);
+  spec.grid_cols = 14;
+  spec.grid_rows = 14;
+  spec.chip_w_um = 700.0;
+  spec.chip_h_um = 700.0;
+  spec.h_capacity = 12;
+  spec.v_capacity = 12;
+  spec.local_sigma_regions = 2.5;
+  const netlist::Netlist design = netlist::generate(spec);
+
+  auto run_at = [&](int threads) {
+    gsino::GsinoParams params;
+    params.sensitivity_rate = 0.5;
+    params.threads = threads;
+    params.router.threads = threads;
+    const gsino::RoutingProblem problem =
+        gsino::make_problem(design, spec, params);
+    gsino::FlowSession session(problem);
+    gsino::Scenario scenario;
+    scenario.refine.threads = threads;
+    return session.run(gsino::FlowKind::kGsino, scenario);
+  };
+
+  const gsino::FlowResult serial = run_at(1);
+  ASSERT_GT(serial.phase2->violating, 0u)
+      << "fixture leaves refine pass 1 nothing to do";
+  ASSERT_NE(serial.phase3, nullptr);
+  const gsino::RefineStats& ss = serial.phase3->stats;
+  for (int threads : {2, 8}) {
+    const gsino::FlowResult fr = run_at(threads);
+    EXPECT_EQ(router::route_hash(fr.routing()),
+              router::route_hash(serial.routing()))
+        << "threads=" << threads;
+    EXPECT_EQ(gsino::state_fingerprint(fr), gsino::state_fingerprint(serial))
+        << "threads=" << threads;
+    ASSERT_EQ(fr.net_lsk().size(), serial.net_lsk().size());
+    for (std::size_t n = 0; n < fr.net_lsk().size(); ++n) {
+      ASSERT_EQ(fr.net_lsk()[n], serial.net_lsk()[n])
+          << "net " << n << " threads=" << threads;
+      ASSERT_EQ(fr.net_noise()[n], serial.net_noise()[n])
+          << "net " << n << " threads=" << threads;
+    }
+    ASSERT_NE(fr.phase3, nullptr);
+    const gsino::RefineStats& fs = fr.phase3->stats;
+    EXPECT_EQ(fs.pass1_resolves, ss.pass1_resolves) << "threads=" << threads;
+    EXPECT_EQ(fs.pass1_nets_fixed, ss.pass1_nets_fixed)
+        << "threads=" << threads;
+    EXPECT_EQ(fs.pass1_gave_up, ss.pass1_gave_up) << "threads=" << threads;
   }
 }
 

@@ -515,28 +515,5 @@ TEST(Maze, OrderDependenceExists) {
   EXPECT_GT(rev.total_wirelength_um, 0.0);
 }
 
-TEST(IdRouter, TiledAndDenseStorageBitIdentical) {
-  // The per-region stores (RegionStats, density caches, congestion maps)
-  // never change arithmetic with the storage mode — same routes, same
-  // stats, same wirelength, bit for bit.
-  const grid::RegionGrid g = make_grid(24, 24, 8);
-  const auto nets = random_nets(g, 160, 77, 6);
-  const sino::NssModel nss;
-  const IdRouter router(g, nss, {});
-
-  const grid::RegionStorage before = grid::default_region_storage();
-  grid::set_default_region_storage(grid::RegionStorage::kTiled);
-  const RoutingResult tiled = router.route(nets);
-  grid::set_default_region_storage(grid::RegionStorage::kDense);
-  const RoutingResult dense = router.route(nets);
-  grid::set_default_region_storage(before);
-
-  EXPECT_EQ(route_hash(tiled), route_hash(dense));
-  EXPECT_EQ(tiled.total_wirelength_um, dense.total_wirelength_um);
-  EXPECT_EQ(tiled.stats.edges_deleted, dense.stats.edges_deleted);
-  EXPECT_EQ(tiled.stats.edges_locked, dense.stats.edges_locked);
-  EXPECT_EQ(tiled.stats.reinserts, dense.stats.reinserts);
-}
-
 }  // namespace
 }  // namespace rlcr::router
