@@ -9,9 +9,8 @@
 #include "obs/trace.h"
 #include "parallel/parallel_for.h"
 #include "store/artifact_store.h"
-#include "sino/anneal.h"
 #include "sino/batch.h"
-#include "sino/greedy.h"
+#include "sino/evaluator.h"
 #include "util/hash.h"
 #include "util/stopwatch.h"
 
@@ -115,11 +114,19 @@ void lru_insert(std::vector<Entry>& cache, Entry entry, std::size_t budget) {
   cache.push_back(std::move(entry));
 }
 
-/// The historical per-region annealing stream seed of Phase III re-solves
-/// (seed ^ sol_index * 131071), shared by the serial and batched paths.
-std::uint64_t region_resolve_seed(const RoutingProblem& p,
-                                  std::size_t sol_index) {
-  return p.params().seed ^ (sol_index * 131071u);
+/// The Phase III re-solve of one region as a SINO batch item: greedy, plus
+/// annealing when allowed, on the historical per-region annealing stream
+/// seed (seed ^ sol_index * 131071).
+sino::SinoBatchItem resolve_item(const RoutingProblem& p,
+                                 const RegionSolution& sol,
+                                 std::size_t sol_index, bool allow_anneal) {
+  sino::SinoBatchItem item;
+  item.instance = &sol.instance;
+  item.mode = allow_anneal ? sino::SinoSolveMode::kGreedyAnneal
+                           : sino::SinoSolveMode::kGreedy;
+  item.anneal_seed = p.params().seed ^ (sol_index * 131071u);
+  item.anneal_iterations = p.params().anneal_iterations;
+  return item;
 }
 
 }  // namespace
@@ -157,24 +164,10 @@ void FlowState::commit_region(std::size_t sol_idx, ktable::SlotVec&& slots,
 void FlowState::resolve_region(std::size_t sol_idx, bool allow_anneal) {
   RegionSolution& sol = solutions[sol_idx];
   if (sol.empty()) return;
-  const RoutingProblem& p = *problem;
-  const auto& keff = p.keff();
   util::Stopwatch watch;
-
-  ktable::SlotVec slots = sino::solve_greedy(sol.instance, keff);
-  if (allow_anneal) {
-    const sino::SinoEvaluator check_eval(sol.instance, keff);
-    if (!check_eval.check(slots).feasible()) {
-      sino::AnnealOptions ao;
-      ao.seed = region_resolve_seed(p, sol_idx);
-      ao.iterations = p.params().anneal_iterations;
-      auto best = sino::solve_anneal(sol.instance, keff, ao);
-      if (best.feasible) slots = std::move(best.slots);
-    }
-  }
-  const sino::SinoEvaluator eval(sol.instance, keff);
-  std::vector<double> ki = eval.all_ki(slots);
-  commit_region(sol_idx, std::move(slots), std::move(ki));
+  sino::SinoBatchResult solved = sino::solve_one(
+      resolve_item(*problem, sol, sol_idx, allow_anneal), problem->keff());
+  commit_region(sol_idx, std::move(solved.slots), std::move(solved.ki));
 
   if (observer) {
     observer(StageEvent{Stage::kRefine, kind, sol_idx, watch.seconds(), false});
@@ -191,11 +184,7 @@ void FlowState::resolve_regions(const std::vector<std::size_t>& sol_indices,
   for (std::size_t k = 0; k < sol_indices.size(); ++k) {
     const RegionSolution& sol = solutions[sol_indices[k]];
     if (sol.empty()) continue;
-    items[k].instance = &sol.instance;
-    items[k].mode = allow_anneal ? sino::SinoSolveMode::kGreedyAnneal
-                                 : sino::SinoSolveMode::kGreedy;
-    items[k].anneal_seed = region_resolve_seed(p, sol_indices[k]);
-    items[k].anneal_iterations = p.params().anneal_iterations;
+    items[k] = resolve_item(p, sol, sol_indices[k], allow_anneal);
   }
   sino::SinoBatchOptions bopt;
   bopt.threads = threads;

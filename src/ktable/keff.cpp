@@ -14,13 +14,12 @@ KeffModel::KeffModel(const KeffParams& params, const circuit::Technology& tech)
     profile_[static_cast<std::size_t>(d)] =
         params_.scale * std::pow(static_cast<double>(d), -params_.decay_exponent);
   }
-}
-
-double KeffModel::profile(int separation) const {
-  if (separation <= 0) return 0.0;
-  const auto idx = static_cast<std::size_t>(
-      std::min(separation, params_.max_separation));
-  return profile_[idx];
+  const int max_shields = std::max(0, params_.max_separation);
+  shield_pow_.resize(static_cast<std::size_t>(max_shields) + 1);
+  for (int k = 0; k <= max_shields; ++k) {
+    shield_pow_[static_cast<std::size_t>(k)] =
+        std::pow(params_.shield_attenuation, k);
+  }
 }
 
 double KeffModel::pair_coupling(const SlotVec& slots, std::size_t i,
@@ -33,8 +32,7 @@ double KeffModel::pair_coupling(const SlotVec& slots, std::size_t i,
   for (std::size_t k = lo + 1; k < hi; ++k) {
     if (slots[k] == kShieldSlot) ++shields_between;
   }
-  const double base = profile(static_cast<int>(hi - lo));
-  return base * std::pow(params_.shield_attenuation, shields_between);
+  return profile(static_cast<int>(hi - lo)) * shield_factor(shields_between);
 }
 
 }  // namespace rlcr::ktable

@@ -20,8 +20,17 @@
 // signal it replaces. The bench `bench_lsk_fidelity` re-derives both
 // numbers and verifies the fidelity property the paper relies on: higher Ki
 // means higher simulated noise at fixed length.
+//
+// Both factors of a pair's K are table lookups. The attenuation table holds
+// shield_attenuation^k for k = 0..max_separation, each entry produced by the
+// same std::pow(attenuation, k) call that would otherwise run per pair, so
+// every product, and hence every Ki, is bit-identical to evaluating the pow
+// in place. Counts past the table (possible only when a pair is more than
+// max_separation + 1 tracks apart) fall back to that std::pow call.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -62,7 +71,18 @@ class KeffModel {
 
   /// Distance profile: coupling of a bare pair at `separation` tracks,
   /// normalized so separation 1 gives params.scale.
-  double profile(int separation) const;
+  double profile(int separation) const {
+    if (separation <= 0) return 0.0;
+    return profile_[static_cast<std::size_t>(
+        std::min(separation, params_.max_separation))];
+  }
+
+  /// shield_attenuation^shields: the table entry, or std::pow past it.
+  double shield_factor(int shields) const {
+    const auto k = static_cast<std::size_t>(shields);
+    return k < shield_pow_.size() ? shield_pow_[k]
+                                  : std::pow(params_.shield_attenuation, shields);
+  }
 
   /// Coupling coefficient between slots i and j of `slots`, accounting for
   /// shields strictly between them. Zero for i == j or non-signal slots.
@@ -75,18 +95,53 @@ class KeffModel {
   double total_coupling(const SlotVec& slots, std::size_t victim,
                         AggressorPred&& is_aggressor) const {
     if (victim >= slots.size() || slots[victim] < 0) return 0.0;
+    const auto shields_left = static_cast<int>(
+        std::count(slots.begin(),
+                   slots.begin() + static_cast<std::ptrdiff_t>(victim),
+                   kShieldSlot));
+    return coupling_sum(slots, victim, shields_left, is_aggressor);
+  }
+
+  /// The Ki kernel behind total_coupling, for callers that sweep victims in
+  /// slot order and carry `shields_left`, the number of shields in
+  /// slots[0, victim). The victim slot must hold a signal. Sums
+  /// profile(|victim - j|) * shield_factor(shields strictly between) over
+  /// aggressor slots j in ascending order. The order fixes Ki's rounding,
+  /// which the golden route/state hashes pin, so keep it. O(n).
+  template <typename AggressorPred>
+  double coupling_sum(const SlotVec& slots, std::size_t victim,
+                      int shields_left, AggressorPred&& is_aggressor) const {
     double acc = 0.0;
-    for (std::size_t j = 0; j < slots.size(); ++j) {
-      if (j == victim || slots[j] < 0) continue;
-      if (!is_aggressor(slots[j])) continue;
-      acc += pair_coupling(slots, victim, j);
+    // Left of the victim: `between` counts shields in [j, victim), which is
+    // the count strictly between whenever slot j holds a net.
+    int between = shields_left;
+    for (std::size_t j = 0; j < victim; ++j) {
+      const Slot s = slots[j];
+      if (s < 0) {
+        if (s == kShieldSlot) --between;
+        continue;
+      }
+      if (!is_aggressor(s)) continue;
+      acc += profile(static_cast<int>(victim - j)) * shield_factor(between);
+    }
+    // Right of the victim: `between` counts shields in (victim, j).
+    between = 0;
+    for (std::size_t j = victim + 1; j < slots.size(); ++j) {
+      const Slot s = slots[j];
+      if (s < 0) {
+        if (s == kShieldSlot) ++between;
+        continue;
+      }
+      if (!is_aggressor(s)) continue;
+      acc += profile(static_cast<int>(j - victim)) * shield_factor(between);
     }
     return acc;
   }
 
  private:
   KeffParams params_;
-  std::vector<double> profile_;  // [separation] -> normalized coupling
+  std::vector<double> profile_;     // [separation] -> normalized coupling
+  std::vector<double> shield_pow_;  // [shields] -> shield_attenuation^shields
 };
 
 }  // namespace rlcr::ktable

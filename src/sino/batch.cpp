@@ -9,8 +9,6 @@
 
 namespace rlcr::sino {
 
-namespace {
-
 SinoBatchResult solve_one(const SinoBatchItem& item,
                           const ktable::KeffModel& keff) {
   SinoBatchResult out;
@@ -19,29 +17,29 @@ SinoBatchResult solve_one(const SinoBatchItem& item,
   RLCR_TRACE_SPAN(span, "sino.solve", "sino");
   span.arg("nets", static_cast<double>(inst.net_count()));
 
+  const SinoEvaluator eval(inst, keff);
   if (item.mode == SinoSolveMode::kNetOrder) {
     out.slots = solve_net_order(inst, keff).slots;
+    out.feasible = eval.check(out.slots).feasible();
   } else {
     out.slots = solve_greedy(inst, keff);
-    if (item.mode == SinoSolveMode::kGreedyAnneal) {
-      const SinoEvaluator eval(inst, keff);
-      if (!eval.check(out.slots).feasible()) {
-        AnnealOptions ao;
-        ao.seed = item.anneal_seed;
-        ao.iterations = item.anneal_iterations;
-        const AnnealResult best = solve_anneal(inst, keff, ao);
-        out.annealed = true;
-        if (best.feasible) out.slots = best.slots;
+    out.feasible = eval.check(out.slots).feasible();
+    if (!out.feasible && item.mode == SinoSolveMode::kGreedyAnneal) {
+      AnnealOptions ao;
+      ao.seed = item.anneal_seed;
+      ao.iterations = item.anneal_iterations;
+      AnnealResult best = solve_anneal(inst, keff, ao);
+      out.annealed = true;
+      // best.feasible is check(best.slots).feasible() under this model.
+      if (best.feasible) {
+        out.slots = std::move(best.slots);
+        out.feasible = true;
       }
     }
   }
-  const SinoEvaluator eval(inst, keff);
   out.ki = eval.all_ki(out.slots);
-  out.feasible = eval.check(out.slots).feasible();
   return out;
 }
-
-}  // namespace
 
 std::vector<SinoBatchResult> solve_batch(const std::vector<SinoBatchItem>& items,
                                          const ktable::KeffModel& keff,

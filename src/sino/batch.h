@@ -62,6 +62,13 @@ inline std::uint64_t stream_seed(std::uint64_t base, std::uint64_t item) {
   return util::SplitMix64::mix2(base, item);
 }
 
+/// Solve one item: the single per-region SINO recipe (net order; or greedy,
+/// then annealing when the mode allows it and the greedy result is
+/// infeasible, keeping the annealed slots only if they are feasible), with
+/// Ki under the chosen slots. solve_batch runs exactly this per item.
+SinoBatchResult solve_one(const SinoBatchItem& item,
+                          const ktable::KeffModel& keff);
+
 /// Solve every item across the pool. Results are parallel to `items`.
 std::vector<SinoBatchResult> solve_batch(const std::vector<SinoBatchItem>& items,
                                          const ktable::KeffModel& keff,

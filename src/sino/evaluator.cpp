@@ -1,19 +1,49 @@
 #include "sino/evaluator.h"
 
-#include <algorithm>
-
 namespace rlcr::sino {
 
-bool SinoEvaluator::capacitively_adjacent(const SlotVec& slots, std::size_t i,
-                                          std::size_t j) const {
-  if (i == j || i >= slots.size() || j >= slots.size()) return false;
-  const std::size_t lo = std::min(i, j);
-  const std::size_t hi = std::max(i, j);
-  for (std::size_t k = lo + 1; k < hi; ++k) {
-    if (slots[k] != kEmptySlot) return false;
+namespace {
+
+/// Calls visit(net, ki) for each net in slot order, with its Ki from the one
+/// kernel; stops early when visit returns false.
+template <typename Visit>
+void for_each_ki(const SinoInstance& inst, const ktable::KeffModel& keff,
+                 const SlotVec& slots, Visit&& visit) {
+  int shields_left = 0;
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    const ktable::Slot net = slots[s];
+    if (net < 0) {
+      if (net == kShieldSlot) ++shields_left;
+      continue;
+    }
+    const auto v = static_cast<std::size_t>(net);
+    const double k =
+        keff.coupling_sum(slots, s, shields_left, [&](ktable::Slot other) {
+          return inst.sensitive(v, static_cast<std::size_t>(other));
+        });
+    if (!visit(v, k)) return;
   }
-  return true;
 }
+
+/// Sensitive net pairs on capacitively adjacent tracks: each occupied slot
+/// against the next occupied slot to its right (empties do not block
+/// capacitive coupling; shields and nets do).
+int capacitive_violations(const SinoInstance& inst, const SlotVec& slots) {
+  int violations = 0;
+  ktable::Slot prev = kEmptySlot;
+  for (const ktable::Slot s : slots) {
+    if (s == kEmptySlot) continue;
+    if (prev >= 0 && s >= 0 &&
+        inst.sensitive(static_cast<std::size_t>(prev),
+                       static_cast<std::size_t>(s))) {
+      ++violations;
+    }
+    prev = s;
+  }
+  return violations;
+}
+
+}  // namespace
 
 double SinoEvaluator::ki(const SlotVec& slots, std::size_t slot_index) const {
   const auto victim_net = slots[slot_index];
@@ -26,11 +56,10 @@ double SinoEvaluator::ki(const SlotVec& slots, std::size_t slot_index) const {
 
 std::vector<double> SinoEvaluator::all_ki(const SlotVec& slots) const {
   std::vector<double> out(instance_->net_count(), 0.0);
-  for (std::size_t s = 0; s < slots.size(); ++s) {
-    if (slots[s] >= 0) {
-      out[static_cast<std::size_t>(slots[s])] = ki(slots, s);
-    }
-  }
+  for_each_ki(*instance_, *keff_, slots, [&](std::size_t net, double k) {
+    out[net] = k;
+    return true;
+  });
   return out;
 }
 
@@ -51,35 +80,28 @@ SinoCheck SinoEvaluator::check(const SlotVec& slots) const {
   }
   result.placed_all = ok;
 
-  // Capacitive: scan each occupied slot's next occupied slot to the right;
-  // that single pair is the only capacitively-adjacent pair across the gap.
-  std::ptrdiff_t prev = -1;
-  for (std::size_t s = 0; s < slots.size(); ++s) {
-    if (slots[s] == kEmptySlot) continue;
-    if (prev >= 0) {
-      const ktable::Slot a = slots[static_cast<std::size_t>(prev)];
-      const ktable::Slot b = slots[s];
-      if (a >= 0 && b >= 0 &&
-          instance_->sensitive(static_cast<std::size_t>(a),
-                               static_cast<std::size_t>(b))) {
-        ++result.capacitive_violations;
-      }
-    }
-    prev = static_cast<std::ptrdiff_t>(s);
-  }
+  result.capacitive_violations = capacitive_violations(*instance_, slots);
 
   // Inductive: Ki vs Kth per net.
-  for (std::size_t s = 0; s < slots.size(); ++s) {
-    if (slots[s] < 0) continue;
-    const auto net_idx = static_cast<std::size_t>(slots[s]);
-    const double k = ki(slots, s);
-    const double bound = instance_->net(net_idx).kth;
+  for_each_ki(*instance_, *keff_, slots, [&](std::size_t net, double k) {
+    const double bound = instance_->net(net).kth;
     if (k > bound) {
       ++result.inductive_violations;
       result.inductive_excess += k - bound;
     }
-  }
+    return true;
+  });
   return result;
+}
+
+bool SinoEvaluator::constraints_hold(const SlotVec& slots) const {
+  if (capacitive_violations(*instance_, slots) != 0) return false;
+  bool hold = true;
+  for_each_ki(*instance_, *keff_, slots, [&](std::size_t net, double k) {
+    hold = !(k > instance_->net(net).kth);  // check()'s violation test
+    return hold;
+  });
+  return hold;
 }
 
 int SinoEvaluator::area(const SlotVec& slots) {

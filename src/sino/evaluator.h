@@ -4,6 +4,14 @@
 // are indices into the instance's net list. The evaluator answers the two
 // constraint questions of [4] — capacitive freeness and inductive bounds —
 // plus the area and violation measures the solvers optimize.
+//
+// Every Ki comes from one kernel, ktable::KeffModel::coupling_sum. check,
+// all_ki and constraints_hold sweep the victims in slot order carrying the
+// running count of shields to their left, so one call costs O(n^2) table
+// lookups for n slots and allocates nothing for Ki. The greedy solver asks
+// only "do both constraints hold?" for each trial insertion, so
+// constraints_hold answers that with early exit: the O(n) capacitive scan
+// first, then Ki against Kth net by net, stopping at the first violation.
 #pragma once
 
 #include <vector>
@@ -37,11 +45,6 @@ class SinoEvaluator {
   const SinoInstance& instance() const { return *instance_; }
   const ktable::KeffModel& keff() const { return *keff_; }
 
-  /// Two slots are capacitively adjacent when every slot strictly between
-  /// them is empty (shields and other nets block capacitive coupling).
-  bool capacitively_adjacent(const SlotVec& slots, std::size_t i,
-                             std::size_t j) const;
-
   /// Total inductive coupling Ki of the net in slot `slot_index`, counting
   /// only aggressors the instance marks as sensitive to it.
   double ki(const SlotVec& slots, std::size_t slot_index) const;
@@ -50,6 +53,11 @@ class SinoEvaluator {
   std::vector<double> all_ki(const SlotVec& slots) const;
 
   SinoCheck check(const SlotVec& slots) const;
+
+  /// Both SINO constraints hold: no capacitive and no inductive violation.
+  /// Equals `check(slots)` reporting zero of each, without counting them;
+  /// placement completeness is not checked, so it suits partial solutions.
+  bool constraints_hold(const SlotVec& slots) const;
 
   /// Occupied tracks (nets + shields); the SINO area objective.
   static int area(const SlotVec& slots);

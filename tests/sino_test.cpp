@@ -1,11 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <iomanip>
+#include <iterator>
+#include <sstream>
+
 #include "ktable/keff.h"
 #include "sino/anneal.h"
 #include "sino/evaluator.h"
 #include "sino/greedy.h"
 #include "sino/net_order.h"
 #include "sino/nss.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace rlcr::sino {
@@ -204,6 +212,293 @@ TEST(Anneal, DeterministicInSeed) {
   const AnnealResult a = solve_anneal(inst, keff, opt);
   const AnnealResult b = solve_anneal(inst, keff, opt);
   EXPECT_EQ(a.slots, b.slots);
+}
+
+// ---------------------------------------------------------- pinned corpus
+
+/// One pinned SINO case: an instance and the Keff model it is solved under.
+struct CorpusCase {
+  SinoInstance instance;
+  ktable::KeffParams params;
+};
+
+/// Seeded corpus of 200 instances: 1-40 nets, four sensitivity rates, Kth
+/// from tight to loose, per-net jitter on S_i (the greedy's order key) and
+/// Kth. Every fourth case runs a non-default Keff model whose small
+/// max_separation is exceeded by the slot count, so both the profile clamp
+/// and the attenuation table's std::pow fallback are exercised.
+std::vector<CorpusCase> pinned_corpus() {
+  util::Xoshiro256 rng(0x51A0C0DE);
+  const double rates[] = {0.1, 0.3, 0.5, 0.8};
+  const double kths[] = {0.4, 0.8, 1.5, 4.0};
+  std::vector<CorpusCase> out;
+  for (int k = 0; k < 200; ++k) {
+    const auto n = static_cast<std::size_t>(1 + rng.below(40));
+    const double rate = rates[rng.below(4)];
+    const double kth = kths[rng.below(4)];
+    std::vector<SinoNet> nets(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      nets[i].net_id = static_cast<std::int32_t>(i);
+      nets[i].si = rate * rng.uniform(0.5, 1.5);
+      nets[i].kth = kth * rng.uniform(0.75, 1.25);
+    }
+    SinoInstance inst(std::move(nets));
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = i + 1; j < n; ++j)
+        if (rng.bernoulli(rate)) inst.set_sensitive(i, j);
+    ktable::KeffParams params;
+    if (k % 4 == 3) {
+      params.max_separation = 2 + static_cast<int>(rng.below(5));
+      params.shield_attenuation = 0.5;
+      params.decay_exponent = 0.7;
+    }
+    out.push_back({std::move(inst), params});
+  }
+  return out;
+}
+
+void fold_slots(util::Fnv1a64& h, const SlotVec& slots) {
+  h.u64(slots.size());
+  for (const ktable::Slot s : slots) h.i32(s);
+}
+
+void fold_doubles(util::Fnv1a64& h, const std::vector<double>& v) {
+  h.u64(v.size());
+  for (const double d : v) h.f64(d);
+}
+
+/// Per-case FNV-1a over the greedy slots, the annealed slots and cost
+/// (seed 7, 300 iterations), and the bit patterns of all_ki under both.
+std::uint64_t corpus_hash(const CorpusCase& c) {
+  const ktable::KeffModel keff(c.params);
+  const SinoEvaluator eval(c.instance, keff);
+  const SlotVec greedy = solve_greedy(c.instance, keff);
+  AnnealOptions opt;
+  opt.seed = 7;
+  opt.iterations = 300;
+  const AnnealResult annealed = solve_anneal(c.instance, keff, opt);
+  util::Fnv1a64 h;
+  fold_slots(h, greedy);
+  fold_slots(h, annealed.slots);
+  h.f64(annealed.cost).boolean(annealed.feasible);
+  fold_doubles(h, eval.all_ki(greedy));
+  fold_doubles(h, eval.all_ki(annealed.slots));
+  return h.value();
+}
+
+// Recorded from the per-pair shield-scan evaluator (std::pow per pair, an
+// O(n^3) check) that preceded the one-pass kernel. A declared behaviour
+// change re-pins this table from the failure message.
+constexpr std::uint64_t kPinnedCorpus[] = {
+    0xfe2509bd83ffd81bULL, 0xdd3ded981e63795cULL, 0xd2ce6dfbdc54dc60ULL,
+    0x97a07ea1b80a3fe6ULL, 0xaaa0eaf1cc92811eULL, 0xc32a46346414a030ULL,
+    0x0b46c7c99a92bdedULL, 0x9d5e429bda5c396bULL, 0x7ef268314949b994ULL,
+    0x769878250b62d501ULL, 0x9ecb6cfbba04f094ULL, 0x3f980053e984734eULL,
+    0xbf04df4308da43d6ULL, 0x3a080d23644021b1ULL, 0x7a6784d55c4b9e5dULL,
+    0xcaf348389b9a1799ULL, 0x7fe0cde86fe52249ULL, 0x5a7b8f744508b77eULL,
+    0x19378bec6ccbda13ULL, 0xe632a82adcce302eULL, 0x8f5e98ab61828c9dULL,
+    0x2e4c5f6cdf705a72ULL, 0xb101f230d90db3cbULL, 0x75e33819058b34aaULL,
+    0x9af807dd4a3ae7dbULL, 0x5998bec40a3cb756ULL, 0x2eacfe5f8433acebULL,
+    0x7f09b50fb6556258ULL, 0x456226d25ea5a3aaULL, 0xd84f307d5e4f925eULL,
+    0x98cc477f6318d363ULL, 0x3a88b16c1f83549eULL, 0xd3fa61805b310558ULL,
+    0x0fc0e7f65483b50bULL, 0xc057cd14098af6b3ULL, 0xf77ce5a78de8eac0ULL,
+    0x26c5d33a3bf0982bULL, 0xcee9a118a8cadbe6ULL, 0x84d57c3c19ff8242ULL,
+    0x189e87fd5858176cULL, 0x1046256f2f819e5eULL, 0xff96a1c7cb2feec8ULL,
+    0x85344337d2f4e83cULL, 0xd4a4e3fbfd1246afULL, 0x4dbd411fd75f9dc3ULL,
+    0x481a64d9eb3e3db6ULL, 0xc52c3cea6cfcef7cULL, 0xa4a8ec056e3e1f96ULL,
+    0x7e0acb1c1fd5233bULL, 0x4cbf6f76db841664ULL, 0x9c6c9e2157c4be14ULL,
+    0xf3680b92e67722d8ULL, 0x0bfea9160d71c39aULL, 0xef86f2e75f391aa1ULL,
+    0xb29640745df98b62ULL, 0xe8f93ac8b757581eULL, 0x1893ccc0b62c0953ULL,
+    0x44c60bb7a76c783bULL, 0x1b7338d64b0eb1f8ULL, 0xe2d6cc7564efe33eULL,
+    0xd8e1cee155e8779eULL, 0x481a64d9eb3e3db6ULL, 0x1113751954be05ceULL,
+    0x74222debb561b242ULL, 0xf4ac2fb03c9761ccULL, 0xeee17e467aa7677aULL,
+    0xa7e37bbb7074e236ULL, 0xc5faa2b55bea4c24ULL, 0x769878250b62d501ULL,
+    0xc70ccc252c6bd091ULL, 0xd4307bf2a02ac602ULL, 0x830ab0396e02629bULL,
+    0xda53c96c985ef2a0ULL, 0x481a64d9eb3e3db6ULL, 0x3f095249170bc4d9ULL,
+    0xa646489dfa2ff54eULL, 0xa65eaf8ce8d94f25ULL, 0xcdf832bb5312bde9ULL,
+    0xad25ef7c9dc017e9ULL, 0xe8f3038c32ebc8c1ULL, 0xd5c2afdeee7bf1f6ULL,
+    0x754759444acb7fe3ULL, 0x921589e1ea9479d9ULL, 0x5aaf8278cab254f8ULL,
+    0x9785ba2607196a20ULL, 0xafb49681fe93dd22ULL, 0xe4c1c07554401de0ULL,
+    0xddb45b41138fc3baULL, 0xd3ec49fed40b004fULL, 0x88a6e7813f2b6802ULL,
+    0x4868ce56ec8dc402ULL, 0xbe16c5b84d9acfd0ULL, 0x8431e9c4f5bc96fbULL,
+    0x357f227996df8006ULL, 0xe1340e3c38320bb4ULL, 0x5d7028230f72184bULL,
+    0xa644b8fcabf05f62ULL, 0x70baea5d08451728ULL, 0x769878250b62d501ULL,
+    0x1523bcec944e9e98ULL, 0x51653a2581ff8b4aULL, 0xcee9a118a8cadbe6ULL,
+    0xe34ff582ee8cf3a7ULL, 0x0ddc305e9e3a58bbULL, 0x5a1b60848a96b605ULL,
+    0xbce190c962d45bf4ULL, 0x88fecfee77986de1ULL, 0x185941d8402f7982ULL,
+    0xbe71fe144d066c26ULL, 0xd684a3c819bdb75bULL, 0xdca2151a4332c9f0ULL,
+    0x9f40f401e268bc32ULL, 0xbdc37eedf63ac1dfULL, 0xda495f98037f3ad4ULL,
+    0x894a8ebe38a6fce2ULL, 0x769878250b62d501ULL, 0x3147df3d12fa61f7ULL,
+    0x0e1e2df22d2966f6ULL, 0xdc1dc27a8e3f308cULL, 0x09e68e9afcd23502ULL,
+    0xdcd5cfa0e48a2cacULL, 0x2b5c18db3a22d956ULL, 0x28da7ef635528814ULL,
+    0x6615bc10b7769b25ULL, 0x677f6ccb57bb9b4eULL, 0x3a1c461c79ebb65fULL,
+    0x582f24e45c945c64ULL, 0x11740fb1f63af288ULL, 0x48b7e90e77f65b82ULL,
+    0xe00a952a9f7d1046ULL, 0x24aa9683c87a44d3ULL, 0xba250326047e5ec3ULL,
+    0x79e539caa9d1049eULL, 0x01ed7b6b80a5c59eULL, 0xa69eb1eeda44c859ULL,
+    0xcbc3b56d4a6b89a1ULL, 0x7ce77336b6e9a2ebULL, 0x390be3a2b918eebeULL,
+    0x6a564113cf69d978ULL, 0x6d44e7c24616c95dULL, 0xc4aff8257908fceaULL,
+    0xc15150a962934a66ULL, 0xea418c89714e2f51ULL, 0x7b893e5a6fececf6ULL,
+    0xc19b3624d2bd6103ULL, 0x2148aa4800872506ULL, 0x74ffb2bab76bd2e3ULL,
+    0x591b2ba516410212ULL, 0x8eab71dc113e1fe3ULL, 0x714565df6b602209ULL,
+    0x4228a70ec94e30f2ULL, 0xf6bcfeb5e7eefe7dULL, 0xdda23aebccabbca2ULL,
+    0xa11c4a09d75ba11cULL, 0xd1f669b0c1fddf9aULL, 0x279dffbe2365fae5ULL,
+    0xd2364c3df7eb6620ULL, 0x42859ee0eec8b363ULL, 0x321179bc619a1e9cULL,
+    0xff8825b514efdb9eULL, 0xacf12fec8e095e41ULL, 0xfb7ad4500c0fafa9ULL,
+    0x3d451ffe7937868aULL, 0x322294e1e51b7080ULL, 0xd47dc458e46864faULL,
+    0x07844a345703ea76ULL, 0xe32c4c9a5901e852ULL, 0x11a42abe0ad940a6ULL,
+    0xedf02708d787bad8ULL, 0x22ae19ecf319b8a1ULL, 0x3d6ab0bc1d8fccbcULL,
+    0x0bf2a62bea70f2faULL, 0xeebfc9de9f1e89a4ULL, 0x28748489b076c7acULL,
+    0x8371ba0c9c178b1aULL, 0x645db77c228eb4b8ULL, 0x9153bf08558d3be4ULL,
+    0xfbe0663a407b2648ULL, 0xf490a0f97c4b7f0eULL, 0xd9f48ac4058c59e1ULL,
+    0x1f5c76c64af9c452ULL, 0xb50d2ac8d6e0e2d6ULL, 0x83f05f1ce8f99264ULL,
+    0xaaccf8b3f7e824a7ULL, 0xebba52957b226af1ULL, 0xf682cb8acb71894eULL,
+    0xf6666cb020ac4dccULL, 0x1ed0a71bfacfff10ULL, 0xb39262d8fb025e20ULL,
+    0x27f184f4ccf80ce8ULL, 0xdd227cc01eb042cdULL, 0x8744ecab5c0b3133ULL,
+    0xd04f66998370ebe9ULL, 0x79b38a2fe2fa6106ULL, 0x8148e51f4fa8d383ULL,
+    0x15c3a7265d90f358ULL, 0x552db992f18113fcULL, 0x1493143e6bce8e6aULL,
+    0xf69dba36dfefceefULL, 0xb43eb8a3fb69f41bULL,
+};
+
+TEST(SinoCorpus, OutputsMatchPinnedHashes) {
+  const std::vector<CorpusCase> corpus = pinned_corpus();
+  ASSERT_EQ(corpus.size(), std::size(kPinnedCorpus));
+  std::vector<std::uint64_t> got;
+  for (std::size_t k = 0; k < corpus.size(); ++k) {
+    got.push_back(corpus_hash(corpus[k]));
+    EXPECT_EQ(got[k], kPinnedCorpus[k]) << "corpus case " << k;
+  }
+  if (::testing::Test::HasFailure()) {
+    std::ostringstream table;
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      table << "0x" << std::hex << std::setw(16) << std::setfill('0') << got[k]
+            << "ULL," << ((k % 3 == 2) ? "\n" : " ");
+    }
+    ADD_FAILURE() << "observed table:\n" << table.str();
+  }
+}
+
+// -------------------------------------------------- reference equivalence
+
+/// The per-pair K the one-pass kernel replaced: scan the slots between the
+/// pair for shields, then one std::pow per pair. Kept here as the oracle.
+double reference_pair(const ktable::KeffModel& m, const SlotVec& slots,
+                      std::size_t i, std::size_t j) {
+  const std::size_t lo = std::min(i, j);
+  const std::size_t hi = std::max(i, j);
+  int shields = 0;
+  for (std::size_t k = lo + 1; k < hi; ++k) {
+    if (slots[k] == kShieldSlot) ++shields;
+  }
+  return m.profile(static_cast<int>(hi - lo)) *
+         std::pow(m.params().shield_attenuation, shields);
+}
+
+/// Reference Ki: reference_pair summed over aggressor slots, j ascending.
+double reference_ki(const SinoInstance& inst, const ktable::KeffModel& m,
+                    const SlotVec& slots, std::size_t victim) {
+  if (slots[victim] < 0) return 0.0;
+  const auto v = static_cast<std::size_t>(slots[victim]);
+  double acc = 0.0;
+  for (std::size_t j = 0; j < slots.size(); ++j) {
+    if (j == victim || slots[j] < 0) continue;
+    if (!inst.sensitive(v, static_cast<std::size_t>(slots[j]))) continue;
+    acc += reference_pair(m, slots, victim, j);
+  }
+  return acc;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// Most of the instance's nets (some left out) shuffled with shields and
+/// empties.
+SlotVec random_slots(std::size_t nets, util::Xoshiro256& rng) {
+  SlotVec slots;
+  for (std::size_t i = 0; i < nets; ++i) {
+    if (rng.bernoulli(0.9)) slots.push_back(static_cast<ktable::Slot>(i));
+  }
+  const auto extra = rng.below(nets + 8);
+  for (std::uint64_t k = 0; k < extra; ++k) {
+    slots.push_back(rng.bernoulli(0.6) ? kShieldSlot : kEmptySlot);
+  }
+  rng.shuffle(slots);
+  return slots;
+}
+
+/// Asserts every Ki entry point, pair_coupling and constraints_hold agree
+/// with the reference on `slots`; returns constraints_hold.
+bool expect_matches_reference(const SinoInstance& inst,
+                              const ktable::KeffModel& m,
+                              const SlotVec& slots) {
+  const SinoEvaluator eval(inst, m);
+  const std::vector<double> all = eval.all_ki(slots);
+  std::vector<double> expected(inst.net_count(), 0.0);
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    const double ref = reference_ki(inst, m, slots, s);
+    EXPECT_TRUE(same_bits(eval.ki(slots, s), ref)) << "slot " << s;
+    if (slots[s] < 0) continue;
+    const auto v = static_cast<std::size_t>(slots[s]);
+    expected[v] = ref;
+    const double total = m.total_coupling(slots, s, [&](ktable::Slot other) {
+      return inst.sensitive(v, static_cast<std::size_t>(other));
+    });
+    EXPECT_TRUE(same_bits(total, ref)) << "slot " << s;
+    for (std::size_t j = 0; j < slots.size(); ++j) {
+      if (j == s || slots[j] < 0) continue;
+      EXPECT_TRUE(same_bits(m.pair_coupling(slots, s, j),
+                            reference_pair(m, slots, s, j)))
+          << "pair " << s << "," << j;
+    }
+  }
+  for (std::size_t v = 0; v < all.size(); ++v) {
+    EXPECT_TRUE(same_bits(all[v], expected[v])) << "net " << v;
+  }
+  const SinoCheck c = eval.check(slots);
+  const bool hold = eval.constraints_hold(slots);
+  EXPECT_EQ(hold, c.capacitive_violations == 0 && c.inductive_violations == 0);
+  return hold;
+}
+
+TEST(KiKernel, BitIdenticalToPerPairReference) {
+  std::vector<ktable::KeffParams> models(4);
+  models[1].decay_exponent = 0.7;
+  models[1].shield_attenuation = 0.5;
+  models[1].max_separation = 3;
+  models[2].decay_exponent = 0.3;
+  models[2].shield_attenuation = 0.9;
+  models[2].max_separation = 1;
+  models[2].scale = 2.5;
+  models[3].shield_attenuation = 0.2;
+  models[3].max_separation = 12;
+
+  util::Xoshiro256 rng(0xC0FFEE);
+  int held = 0;
+  int violated = 0;
+  for (const ktable::KeffParams& params : models) {
+    const ktable::KeffModel m(params);
+    for (int trial = 0; trial < 120; ++trial) {
+      const auto n = static_cast<std::size_t>(1 + rng.below(30));
+      const SinoInstance inst = random_instance(
+          n, rng.uniform(0.05, 0.8), rng.uniform(0.3, 3.0), rng());
+      // Random vectors, plus greedy output and a prefix of it: the
+      // feasible end of the range.
+      const SlotVec greedy = solve_greedy(inst, m);
+      const auto cut = static_cast<std::ptrdiff_t>(rng.below(greedy.size() + 1));
+      for (const SlotVec& slots :
+           {random_slots(n, rng), greedy,
+            SlotVec(greedy.begin(), greedy.begin() + cut)}) {
+        if (expect_matches_reference(inst, m, slots)) {
+          ++held;
+        } else {
+          ++violated;
+        }
+      }
+    }
+  }
+  // Both answers of constraints_hold were exercised.
+  EXPECT_GT(held, 100);
+  EXPECT_GT(violated, 100);
 }
 
 // --------------------------------------------------------------- ordering
