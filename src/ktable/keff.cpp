@@ -20,6 +20,20 @@ KeffModel::KeffModel(const KeffParams& params, const circuit::Technology& tech)
     shield_pow_[static_cast<std::size_t>(k)] =
         std::pow(params_.shield_attenuation, k);
   }
+  // Each test is phrased so that a NaN fails it and clears the flag.
+  const double a = params_.shield_attenuation;
+  monotone_ = a >= 0.0 && a <= 1.0;
+  for (std::size_t d = 1; d < profile_.size(); ++d) {
+    if (!(profile_[d] >= 0.0) || (d > 1 && !(profile_[d] <= profile_[d - 1]))) {
+      monotone_ = false;
+    }
+  }
+  for (std::size_t k = 0; k < shield_pow_.size(); ++k) {
+    const double f = shield_pow_[k];
+    if (!(f >= 0.0 && f <= 1.0) || (k > 0 && !(f <= shield_pow_[k - 1]))) {
+      monotone_ = false;
+    }
+  }
 }
 
 double KeffModel::pair_coupling(const SlotVec& slots, std::size_t i,

@@ -27,6 +27,13 @@
 // every product, and hence every Ki, is bit-identical to evaluating the pow
 // in place. Counts past the table (possible only when a pair is more than
 // max_separation + 1 tracks apart) fall back to that std::pow call.
+//
+// The model also records, once from its own tables, whether K(i, j) can
+// only shrink as a pair moves apart or gains shields between it: the
+// profile is >= 0 and non-increasing, and shield_attenuation^k lies in
+// [0, 1] and is non-increasing over the table. coupling_monotone() reports
+// it; the SINO evaluator's incremental feasibility checks rely on it and
+// fall back to full checks when it does not hold (see sino/evaluator.h).
 #pragma once
 
 #include <algorithm>
@@ -82,6 +89,15 @@ class KeffModel {
     const auto k = static_cast<std::size_t>(shields);
     return k < shield_pow_.size() ? shield_pow_[k]
                                   : std::pow(params_.shield_attenuation, shields);
+  }
+
+  /// True when every pair K in a slot vector of `slot_count` slots is
+  /// non-increasing in the pair's distance and in the shields between it,
+  /// and >= 0. Holds when the model's tables are monotone (checked once at
+  /// construction) and no pair can have more shields between it than the
+  /// attenuation table covers (the std::pow tail is not checked).
+  bool coupling_monotone(std::size_t slot_count) const {
+    return monotone_ && slot_count <= shield_pow_.size() + 1;
   }
 
   /// Coupling coefficient between slots i and j of `slots`, accounting for
@@ -142,6 +158,7 @@ class KeffModel {
   KeffParams params_;
   std::vector<double> profile_;     // [separation] -> normalized coupling
   std::vector<double> shield_pow_;  // [shields] -> shield_attenuation^shields
+  bool monotone_ = false;  // both tables monotone, see coupling_monotone
 };
 
 }  // namespace rlcr::ktable

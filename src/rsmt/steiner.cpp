@@ -10,13 +10,23 @@ namespace rlcr::rsmt {
 
 namespace {
 
+/// Prim's working arrays, reused across every mst_length call of one
+/// rsmt() so the Hanan-candidate loop allocates nothing.
+struct PrimScratch {
+  std::vector<std::int64_t> best;
+  std::vector<char> used;
+};
+
 /// MST length over an explicit point set (Prim, O(n^2)).
-std::int64_t mst_length(const std::vector<geom::Point>& pts) {
+std::int64_t mst_length(const std::vector<geom::Point>& pts,
+                        PrimScratch& scratch) {
   const std::size_t n = pts.size();
   if (n < 2) return 0;
   constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max();
-  std::vector<std::int64_t> best(n, kInf);
-  std::vector<char> used(n, 0);
+  std::vector<std::int64_t>& best = scratch.best;
+  std::vector<char>& used = scratch.used;
+  best.assign(n, kInf);
+  used.assign(n, 0);
   best[0] = 0;
   std::int64_t total = 0;
   for (std::size_t iter = 0; iter < n; ++iter) {
@@ -47,7 +57,8 @@ Tree rsmt(std::span<const geom::Point> pins, const SteinerOptions& options) {
 
   std::vector<geom::Point> pts(pins.begin(), pins.end());
   const std::size_t pin_count = pts.size();
-  std::int64_t current = mst_length(pts);
+  PrimScratch scratch;
+  std::int64_t current = mst_length(pts, scratch);
 
   for (std::size_t round = 0; round < options.max_steiner_points; ++round) {
     // Hanan candidates: cross products of existing x and y coordinates.
@@ -81,7 +92,7 @@ Tree rsmt(std::span<const geom::Point> pins, const SteinerOptions& options) {
         }
         if (duplicate) continue;
         trial.back() = cand;
-        const std::int64_t len = mst_length(trial);
+        const std::int64_t len = mst_length(trial, scratch);
         if (len < best_len) {
           best_len = len;
           best_pt = cand;

@@ -18,26 +18,24 @@ SinoBatchResult solve_one(const SinoBatchItem& item,
   span.arg("nets", static_cast<double>(inst.net_count()));
 
   const SinoEvaluator eval(inst, keff);
-  if (item.mode == SinoSolveMode::kNetOrder) {
-    out.slots = solve_net_order(inst, keff).slots;
-    out.feasible = eval.check(out.slots).feasible();
-  } else {
-    out.slots = solve_greedy(inst, keff);
-    out.feasible = eval.check(out.slots).feasible();
-    if (!out.feasible && item.mode == SinoSolveMode::kGreedyAnneal) {
-      AnnealOptions ao;
-      ao.seed = item.anneal_seed;
-      ao.iterations = item.anneal_iterations;
-      AnnealResult best = solve_anneal(inst, keff, ao);
-      out.annealed = true;
-      // best.feasible is check(best.slots).feasible() under this model.
-      if (best.feasible) {
-        out.slots = std::move(best.slots);
-        out.feasible = true;
-      }
+  out.slots = item.mode == SinoSolveMode::kNetOrder
+                  ? solve_net_order(inst, keff).slots
+                  : solve_greedy(inst, keff);
+  // One pass gives both feasibility and Ki under the chosen slots.
+  out.feasible = eval.check(out.slots, &out.ki).feasible();
+  if (!out.feasible && item.mode == SinoSolveMode::kGreedyAnneal) {
+    AnnealOptions ao;
+    ao.seed = item.anneal_seed;
+    ao.iterations = item.anneal_iterations;
+    AnnealResult best = solve_anneal(inst, keff, ao);
+    out.annealed = true;
+    // best.feasible is check(best.slots).feasible() under this model.
+    if (best.feasible) {
+      out.slots = std::move(best.slots);
+      out.feasible = true;
+      out.ki = eval.all_ki(out.slots);
     }
   }
-  out.ki = eval.all_ki(out.slots);
   return out;
 }
 

@@ -1,5 +1,7 @@
 #include "sino/evaluator.h"
 
+#include <algorithm>
+
 namespace rlcr::sino {
 
 namespace {
@@ -63,8 +65,10 @@ std::vector<double> SinoEvaluator::all_ki(const SlotVec& slots) const {
   return out;
 }
 
-SinoCheck SinoEvaluator::check(const SlotVec& slots) const {
+SinoCheck SinoEvaluator::check(const SlotVec& slots,
+                               std::vector<double>* ki) const {
   SinoCheck result;
+  if (ki != nullptr) ki->assign(instance_->net_count(), 0.0);
 
   // Placement completeness: every net exactly once.
   std::vector<int> seen(instance_->net_count(), 0);
@@ -84,6 +88,7 @@ SinoCheck SinoEvaluator::check(const SlotVec& slots) const {
 
   // Inductive: Ki vs Kth per net.
   for_each_ki(*instance_, *keff_, slots, [&](std::size_t net, double k) {
+    if (ki != nullptr) (*ki)[net] = k;
     const double bound = instance_->net(net).kth;
     if (k > bound) {
       ++result.inductive_violations;
@@ -102,6 +107,52 @@ bool SinoEvaluator::constraints_hold(const SlotVec& slots) const {
     return hold;
   });
   return hold;
+}
+
+bool SinoEvaluator::insertion_holds(const SlotVec& slots,
+                                    std::size_t pos) const {
+  if (!keff_->coupling_monotone(slots.size())) return constraints_hold(slots);
+  const SinoInstance& inst = *instance_;
+  const auto x = static_cast<std::size_t>(slots[pos]);
+
+  // The two new adjacencies: x against the nearest occupied slot on each
+  // side (empties are transparent, a shield blocks).
+  const auto conflicts = [&](ktable::Slot other) {
+    return other >= 0 && inst.sensitive(x, static_cast<std::size_t>(other));
+  };
+  std::size_t left = pos;
+  while (left > 0 && slots[left - 1] == kEmptySlot) --left;
+  if (left > 0 && conflicts(slots[left - 1])) return false;
+  std::size_t right = pos + 1;
+  while (right < slots.size() && slots[right] == kEmptySlot) ++right;
+  if (right < slots.size() && conflicts(slots[right])) return false;
+
+  // Ki of `v` in slot `s`, against check()'s violation test.
+  const auto within_bound = [&](std::size_t v, std::size_t s, int shields_left) {
+    const double k =
+        keff_->coupling_sum(slots, s, shields_left, [&](ktable::Slot other) {
+          return inst.sensitive(v, static_cast<std::size_t>(other));
+        });
+    return !(k > inst.net(v).kth);
+  };
+  const auto shields_before_pos = static_cast<int>(std::count(
+      slots.begin(), slots.begin() + static_cast<std::ptrdiff_t>(pos),
+      kShieldSlot));
+  if (!within_bound(x, pos, shields_before_pos)) return false;
+
+  // The victims that gained x as an aggressor.
+  int shields_left = 0;
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    const ktable::Slot net = slots[s];
+    if (net < 0) {
+      if (net == kShieldSlot) ++shields_left;
+      continue;
+    }
+    const auto v = static_cast<std::size_t>(net);
+    if (!inst.sensitive(v, x)) continue;
+    if (!within_bound(v, s, shields_left)) return false;
+  }
+  return true;
 }
 
 int SinoEvaluator::area(const SlotVec& slots) {

@@ -20,6 +20,15 @@ SlotVec solve_greedy(const SinoInstance& instance, const ktable::KeffModel& keff
   SlotVec slots;
   slots.reserve(n * 2);
 
+  // Whether `slots` is known to satisfy both constraints. While it does,
+  // each trial only needs insertion_holds (evaluator.h); after a failed
+  // fallback below it may not, and trials take the full check until one
+  // passes.
+  bool holds = true;
+  const auto fits = [&](std::size_t pos) {
+    return holds ? eval.insertion_holds(slots, pos) : eval.constraints_hold(slots);
+  };
+
   for (std::size_t net : order) {
     // Ordering first, shields last: try every insertion position without a
     // shield (append first — it is free when it works), and only spend a
@@ -32,24 +41,31 @@ SlotVec solve_greedy(const SinoInstance& instance, const ktable::KeffModel& keff
       const std::size_t pos = slots.size() - k;  // append, then walk left
       slots.insert(slots.begin() + static_cast<std::ptrdiff_t>(pos),
                    static_cast<ktable::Slot>(net));
-      if (eval.constraints_hold(slots)) {
+      if (fits(pos)) {
         placed = true;
         break;
       }
       slots.erase(slots.begin() + static_cast<std::ptrdiff_t>(pos));
     }
-    if (placed) continue;
+    if (placed) {
+      holds = true;
+      continue;
+    }
 
     // Shield + net at the end.
     slots.push_back(kShieldSlot);
     slots.push_back(static_cast<ktable::Slot>(net));
-    if (eval.constraints_hold(slots)) continue;
+    if (fits(slots.size() - 1)) {
+      holds = true;
+      continue;
+    }
 
     // Rare fallback: an inductive bound is still violated (capacitive
     // cannot be, the shield blocks the only adjacency). Interleave further
     // shields through the stack — every inserted shield attenuates all
     // couplings crossing it — until feasible, up to a small budget.
-    for (int extra = 0; extra < 6 && !eval.constraints_hold(slots); ++extra) {
+    holds = false;
+    for (int extra = 0; extra < 6 && !holds; ++extra) {
       // Alternate: left of the new net, then progressively deeper between
       // the earlier nets (covering aggressors on the far side too).
       const std::size_t pos =
@@ -59,6 +75,7 @@ SlotVec solve_greedy(const SinoInstance& instance, const ktable::KeffModel& keff
       slots.insert(slots.begin() + static_cast<std::ptrdiff_t>(
                                        std::min(pos, slots.size())),
                    kShieldSlot);
+      holds = eval.constraints_hold(slots);
     }
   }
 
@@ -67,20 +84,22 @@ SlotVec solve_greedy(const SinoInstance& instance, const ktable::KeffModel& keff
 }
 
 int compact_shields(SlotVec& slots, const SinoEvaluator& eval) {
+  // Why one pass suffices, and when it restarts instead: greedy.h.
+  const bool one_pass = eval.keff().coupling_monotone(slots.size());
   int removed = 0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t s = 0; s < slots.size(); ++s) {
-      if (slots[s] != kShieldSlot) continue;
-      slots.erase(slots.begin() + static_cast<std::ptrdiff_t>(s));
-      if (eval.constraints_hold(slots)) {
-        ++removed;
-        changed = true;
-        break;
-      }
-      slots.insert(slots.begin() + static_cast<std::ptrdiff_t>(s), kShieldSlot);
+  for (std::size_t s = 0; s < slots.size();) {
+    if (slots[s] != kShieldSlot) {
+      ++s;
+      continue;
     }
+    slots.erase(slots.begin() + static_cast<std::ptrdiff_t>(s));
+    if (eval.constraints_hold(slots)) {
+      ++removed;
+      if (!one_pass) s = 0;
+      continue;
+    }
+    slots.insert(slots.begin() + static_cast<std::ptrdiff_t>(s), kShieldSlot);
+    ++s;
   }
   // Drop trailing empties if any crept in.
   while (!slots.empty() && slots.back() == kEmptySlot) slots.pop_back();

@@ -3,9 +3,12 @@
 // Nets are placed in decreasing sensitivity order; each net is appended to
 // the current track stack, with a shield inserted first whenever appending
 // directly would violate capacitive freeness against the previous occupant
-// or push any net's Ki beyond its Kth. A final compaction pass removes
-// shields that turn out to be unnecessary. Fast enough to run in every
-// routing region of a full chip, and the seed for the annealing solver.
+// or push any net's Ki beyond its Kth. While the stack satisfies both
+// constraints, each trial is checked incrementally
+// (SinoEvaluator::insertion_holds). A final single left-to-right
+// compaction pass removes shields that turn out to be unnecessary. Fast
+// enough to run in every routing region of a full chip, and the seed for
+// the annealing solver.
 #pragma once
 
 #include "sino/evaluator.h"
@@ -17,7 +20,11 @@ namespace rlcr::sino {
 SlotVec solve_greedy(const SinoInstance& instance, const ktable::KeffModel& keff);
 
 /// Shield-compaction pass shared with the annealer: removes each shield
-/// whose removal keeps the solution feasible. Returns the number removed.
+/// whose removal keeps both constraints holding, scanning left to right.
+/// The result equals the fixpoint loop that restarts at slot 0 after every
+/// removal, because under a monotone Keff model a removal that fails keeps
+/// failing (sino/evaluator.h); for a model that is not monotone the pass
+/// does restart at slot 0. Returns the number removed.
 int compact_shields(SlotVec& slots, const SinoEvaluator& eval);
 
 }  // namespace rlcr::sino

@@ -418,12 +418,8 @@ Tree build_tree(std::span<const Point> pins, TreeProfile profile,
   return rsmt::rsmt(pins, options.steiner);
 }
 
-std::shared_ptr<const Tree> TreeBuilder::build(std::span<const Point> pins,
-                                               TreeProfile profile) const {
-  if (cache_ == nullptr) {
-    return std::make_shared<const Tree>(build_tree(pins, profile, options_));
-  }
-  const CanonicalPins canon = canonicalize(pins);
+std::shared_ptr<const Tree> TreeBuilder::cached(const CanonicalPins& canon,
+                                                TreeProfile profile) const {
   const std::uint64_t key =
       util::SplitMix64::mix2(canon.fingerprint, options_key(options_, profile));
   std::shared_ptr<const Tree> canonical = cache_->find(key);
@@ -432,6 +428,16 @@ std::shared_ptr<const Tree> TreeBuilder::build(std::span<const Point> pins,
         std::make_shared<const Tree>(build_tree(canon.pins, profile, options_));
     cache_->insert(key, canonical);
   }
+  return canonical;
+}
+
+std::shared_ptr<const Tree> TreeBuilder::build(std::span<const Point> pins,
+                                               TreeProfile profile) const {
+  if (cache_ == nullptr) {
+    return std::make_shared<const Tree>(build_tree(pins, profile, options_));
+  }
+  const CanonicalPins canon = canonicalize(pins);
+  std::shared_ptr<const Tree> canonical = cached(canon, profile);
   if (canon.dx == 0 && canon.dy == 0) return canonical;
   auto out = std::make_shared<Tree>(*canonical);
   for (Point& p : out->nodes) {
@@ -443,7 +449,10 @@ std::shared_ptr<const Tree> TreeBuilder::build(std::span<const Point> pins,
 
 std::int64_t TreeBuilder::length(std::span<const Point> pins,
                                  TreeProfile profile) const {
-  return build(pins, profile)->length();
+  if (cache_ == nullptr) return build_tree(pins, profile, options_).length();
+  // Length is translation-invariant: read it off the canonical tree
+  // instead of copying and translating it.
+  return cached(canonicalize(pins), profile)->length();
 }
 
 }  // namespace rlcr::steiner

@@ -31,6 +31,7 @@
 namespace rlcr::steiner {
 
 class TreeCache;
+struct CanonicalPins;
 
 /// Quality tier for tree construction. Wire/profile stable: the numeric
 /// values travel through the artifact store and the service protocol.
@@ -77,13 +78,20 @@ class TreeBuilder {
                                           TreeProfile profile) const;
 
   /// Tree length at `profile` (one cached build serves later calls that
-  /// need the full topology for the same pin set).
+  /// need the full topology for the same pin set). With a cache, the
+  /// cached canonical tree's length: a tree's length does not change when
+  /// it is translated back to the pins.
   std::int64_t length(std::span<const geom::Point> pins,
                       TreeProfile profile) const;
 
   const TreeBuilderOptions& options() const { return options_; }
 
  private:
+  /// The canonical (translated-to-origin) tree for `canon`, from the cache
+  /// or built and inserted. Requires a cache.
+  std::shared_ptr<const rsmt::Tree> cached(const CanonicalPins& canon,
+                                           TreeProfile profile) const;
+
   TreeBuilderOptions options_;
   TreeCache* cache_ = nullptr;
 };

@@ -94,20 +94,39 @@ void get_field(BinaryReader& r, std::size_t& v) {
   v = static_cast<std::size_t>(r.u64());
 }
 void get_field(BinaryReader& r, std::int32_t& v) { v = r.i32(); }
+// The enum and override decoders reject values no writer produces: an
+// out-of-range enumerator, and override lists that are not strictly
+// increasing in net id (the router looks them up with lower_bound).
 void get_field(BinaryReader& r, router::PrerouteShape& v) {
-  v = static_cast<router::PrerouteShape>(r.u32());
+  const std::uint32_t raw = r.u32();
+  if (raw > static_cast<std::uint32_t>(router::PrerouteShape::kZ)) {
+    r.fail();
+    return;
+  }
+  v = static_cast<router::PrerouteShape>(raw);
 }
 void get_field(BinaryReader& r, steiner::TreeProfile& v) {
-  v = static_cast<steiner::TreeProfile>(r.u8());
+  const std::uint8_t raw = r.u8();
+  if (raw >= steiner::kTreeProfileCount) {
+    r.fail();
+    return;
+  }
+  v = static_cast<steiner::TreeProfile>(raw);
 }
 void get_field(BinaryReader& r,
                std::vector<std::pair<std::int32_t, std::uint8_t>>& v) {
   const std::uint64_t n = r.seq_size(/*elem_bytes=*/5);
   if (!r.ok()) return;
   v.resize(static_cast<std::size_t>(n));
-  for (auto& [id, profile] : v) {
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    auto& [id, profile] = v[i];
     id = r.i32();
     profile = r.u8();
+    if (profile >= steiner::kTreeProfileCount ||
+        (i > 0 && id <= v[i - 1].first)) {
+      r.fail();
+      return;
+    }
   }
 }
 

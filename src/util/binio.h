@@ -104,6 +104,9 @@ class BinaryReader {
 
   bool ok() const { return ok_; }
   bool at_end() const { return ok_ && pos_ == size_; }
+  /// Marks the input malformed, as an underrun would: for decoders that
+  /// find a well-sized field holding an invalid value.
+  void fail() { ok_ = false; }
 
  private:
   const std::uint8_t* data_;

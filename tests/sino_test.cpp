@@ -460,7 +460,11 @@ bool expect_matches_reference(const SinoInstance& inst,
   return hold;
 }
 
-TEST(KiKernel, BitIdenticalToPerPairReference) {
+/// The four Keff models the kernel and incremental tests run under: the
+/// default, two with a max_separation small enough that the profile clamp
+/// and the attenuation table's std::pow tail are reached, and a strongly
+/// shielding one.
+std::vector<ktable::KeffParams> kernel_models() {
   std::vector<ktable::KeffParams> models(4);
   models[1].decay_exponent = 0.7;
   models[1].shield_attenuation = 0.5;
@@ -471,6 +475,11 @@ TEST(KiKernel, BitIdenticalToPerPairReference) {
   models[2].scale = 2.5;
   models[3].shield_attenuation = 0.2;
   models[3].max_separation = 12;
+  return models;
+}
+
+TEST(KiKernel, BitIdenticalToPerPairReference) {
+  const std::vector<ktable::KeffParams> models = kernel_models();
 
   util::Xoshiro256 rng(0xC0FFEE);
   int held = 0;
@@ -499,6 +508,202 @@ TEST(KiKernel, BitIdenticalToPerPairReference) {
   // Both answers of constraints_hold were exercised.
   EXPECT_GT(held, 100);
   EXPECT_GT(violated, 100);
+}
+
+// ------------------------------------------------- incremental feasibility
+
+/// Non-monotone models: coupling that grows with distance, and a "shield"
+/// that amplifies. Neither satisfies the insertion lemma.
+std::vector<ktable::KeffParams> non_monotone_models() {
+  std::vector<ktable::KeffParams> models(2);
+  models[0].decay_exponent = -0.3;
+  models[1].shield_attenuation = 1.5;
+  return models;
+}
+
+/// `base` with net `x` taken out.
+SlotVec without_net(SlotVec base, ktable::Slot x) {
+  base.erase(std::remove(base.begin(), base.end(), x), base.end());
+  return base;
+}
+
+/// Inserts `count` shields and empties at random positions.
+void sprinkle(SlotVec& slots, std::size_t count, util::Xoshiro256& rng) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto at = static_cast<std::ptrdiff_t>(rng.below(slots.size() + 1));
+    slots.insert(slots.begin() + at,
+                 rng.bernoulli(0.7) ? kShieldSlot : kEmptySlot);
+  }
+}
+
+/// Outcome counts of insertion_holds over the cases it was compared on.
+struct InsertionTally {
+  int held = 0;
+  int failed = 0;
+};
+
+/// Compares insertion_holds with constraints_hold for net `x` inserted into
+/// `base` at every position, after a randomly placed shield, and appended
+/// after a shield (the greedy's shield+net step). `base` must not hold `x`.
+/// With `any_base`, compares on every base (the full-check path must agree
+/// everywhere); otherwise only where the precondition holds.
+void compare_insertions(const SinoEvaluator& eval, const SlotVec& base,
+                        ktable::Slot x, bool any_base, util::Xoshiro256& rng,
+                        InsertionTally& tally) {
+  if (!any_base && !eval.constraints_hold(base)) return;
+  const auto compare = [&](const SlotVec& slots, std::size_t pos) {
+    const bool incremental = eval.insertion_holds(slots, pos);
+    EXPECT_EQ(incremental, eval.constraints_hold(slots))
+        << "insert at " << pos << " of " << slots.size();
+    ++(incremental ? tally.held : tally.failed);
+  };
+  for (std::size_t pos = 0; pos <= base.size(); ++pos) {
+    SlotVec slots = base;
+    slots.insert(slots.begin() + static_cast<std::ptrdiff_t>(pos), x);
+    compare(slots, pos);
+    // The same insertion after a new shield somewhere else.
+    const auto at = static_cast<std::ptrdiff_t>(rng.below(slots.size() + 1));
+    slots.insert(slots.begin() + at, kShieldSlot);
+    compare(slots, pos + (at <= static_cast<std::ptrdiff_t>(pos) ? 1 : 0));
+  }
+  SlotVec appended = base;
+  appended.push_back(kShieldSlot);
+  appended.push_back(x);
+  compare(appended, appended.size() - 1);
+}
+
+/// Random bases for net x: a random arrangement without x, and the greedy
+/// solution of the instance with x taken out and shields and empties added
+/// (which keeps it feasible): the infeasible and feasible ends.
+std::vector<SlotVec> insertion_bases(const SinoInstance& inst,
+                                     const ktable::KeffModel& m,
+                                     ktable::Slot x, util::Xoshiro256& rng) {
+  SlotVec feasible = without_net(solve_greedy(inst, m), x);
+  sprinkle(feasible, rng.below(4), rng);
+  return {without_net(random_slots(inst.net_count(), rng), x),
+          std::move(feasible)};
+}
+
+TEST(IncrementalFeasibility, InsertionHoldsEqualsFullCheckOnFeasibleSlots) {
+  util::Xoshiro256 rng(0x1C2E5);
+  for (const ktable::KeffParams& params : kernel_models()) {
+    const ktable::KeffModel m(params);
+    EXPECT_TRUE(m.coupling_monotone(params.max_separation + 2));
+    EXPECT_FALSE(m.coupling_monotone(params.max_separation + 3));
+    InsertionTally tally;
+    for (int trial = 0; trial < 150; ++trial) {
+      const auto n = static_cast<std::size_t>(1 + rng.below(24));
+      const SinoInstance inst = random_instance(
+          n, rng.uniform(0.05, 0.8), rng.uniform(0.3, 3.0), rng());
+      const SinoEvaluator eval(inst, m);
+      const auto x = static_cast<ktable::Slot>(rng.below(n));
+      for (const SlotVec& base : insertion_bases(inst, m, x, rng)) {
+        compare_insertions(eval, base, x, /*any_base=*/false, rng, tally);
+      }
+    }
+    // Both answers were exercised under every model.
+    EXPECT_GT(tally.held, 200) << "max_separation " << params.max_separation;
+    EXPECT_GT(tally.failed, 200) << "max_separation " << params.max_separation;
+  }
+}
+
+TEST(IncrementalFeasibility, NonMonotoneModelTakesTheFullCheck) {
+  util::Xoshiro256 rng(0xBAD5EED);
+  for (const ktable::KeffParams& params : non_monotone_models()) {
+    const ktable::KeffModel m(params);
+    EXPECT_FALSE(m.coupling_monotone(2));
+    InsertionTally tally;
+    for (int trial = 0; trial < 60; ++trial) {
+      const auto n = static_cast<std::size_t>(1 + rng.below(16));
+      const SinoInstance inst = random_instance(
+          n, rng.uniform(0.05, 0.8), rng.uniform(0.3, 3.0), rng());
+      const SinoEvaluator eval(inst, m);
+      const auto x = static_cast<ktable::Slot>(rng.below(n));
+      // Any base at all: only the full check agrees with constraints_hold
+      // where the lemma's precondition fails.
+      for (const SlotVec& base : insertion_bases(inst, m, x, rng)) {
+        compare_insertions(eval, base, x, /*any_base=*/true, rng, tally);
+      }
+    }
+    EXPECT_GT(tally.held, 50);
+    EXPECT_GT(tally.failed, 50);
+  }
+}
+
+/// The restart-from-slot-0 compaction loop that the single pass replaced:
+/// remove the first removable shield, then rescan from the start.
+int restart_compact(SlotVec& slots, const SinoEvaluator& eval) {
+  int removed = 0;
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (std::size_t s = 0; s < slots.size(); ++s) {
+      if (slots[s] != kShieldSlot) continue;
+      slots.erase(slots.begin() + static_cast<std::ptrdiff_t>(s));
+      if (eval.constraints_hold(slots)) {
+        ++removed;
+        changed = true;
+        break;
+      }
+      slots.insert(slots.begin() + static_cast<std::ptrdiff_t>(s), kShieldSlot);
+    }
+  }
+  while (!slots.empty() && slots.back() == kEmptySlot) slots.pop_back();
+  return removed;
+}
+
+TEST(IncrementalFeasibility, SinglePassCompactionMatchesRestartLoop) {
+  std::vector<ktable::KeffParams> models = kernel_models();
+  for (const ktable::KeffParams& p : non_monotone_models()) models.push_back(p);
+  util::Xoshiro256 rng(0xC0117AC7);
+  int removals = 0;
+  int feasible_inputs = 0;
+  int infeasible_inputs = 0;
+  for (const ktable::KeffParams& params : models) {
+    const ktable::KeffModel m(params);
+    for (int trial = 0; trial < 100; ++trial) {
+      const auto n = static_cast<std::size_t>(1 + rng.below(24));
+      const SinoInstance inst = random_instance(
+          n, rng.uniform(0.05, 0.8), rng.uniform(0.3, 3.0), rng());
+      const SinoEvaluator eval(inst, m);
+      // Padded greedy output (feasible, with removable shields) and a
+      // random arrangement (mostly infeasible).
+      SlotVec padded = solve_greedy(inst, m);
+      sprinkle(padded, 1 + rng.below(6), rng);
+      for (const SlotVec& input : {padded, random_slots(n, rng)}) {
+        ++(eval.constraints_hold(input) ? feasible_inputs : infeasible_inputs);
+        SlotVec one_pass = input;
+        SlotVec restarted = input;
+        const int got = compact_shields(one_pass, eval);
+        const int want = restart_compact(restarted, eval);
+        EXPECT_EQ(got, want);
+        EXPECT_EQ(one_pass, restarted);
+        removals += want;
+      }
+    }
+  }
+  EXPECT_GT(removals, 500);
+  EXPECT_GT(feasible_inputs, 200);
+  EXPECT_GT(infeasible_inputs, 200);
+}
+
+TEST(IncrementalFeasibility, CompactionRestartsUnderNonMonotoneModel) {
+  // Shields amplify here, so removing one can make an earlier shield
+  // removable again: the single pass must fall back to restarting.
+  ktable::KeffParams params;
+  params.shield_attenuation = 1.5;
+  const ktable::KeffModel m(params);
+  SinoInstance inst = random_instance(5, 0.0, 0.97, 1);
+  inst.set_sensitive(0, 1);
+  inst.set_sensitive(0, 3);
+  inst.set_sensitive(3, 4);
+  const SinoEvaluator eval(inst, m);
+  const SlotVec input = {2, kShieldSlot, kShieldSlot, 1, kShieldSlot,
+                         kShieldSlot, 4, 0};
+  SlotVec one_pass = input;
+  SlotVec restarted = input;
+  EXPECT_EQ(compact_shields(one_pass, eval), restart_compact(restarted, eval));
+  EXPECT_EQ(one_pass, restarted);
 }
 
 // --------------------------------------------------------------- ordering

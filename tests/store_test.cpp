@@ -18,6 +18,7 @@
 #include "store/artifact_store.h"
 #include "store/serial.h"
 #include "util/file_lock.h"
+#include "util/hash.h"
 
 #include "golden_util.h"
 
@@ -290,6 +291,76 @@ TEST(StoreSerial, CorruptedPayloadFailsChecksum) {
   std::vector<std::uint8_t> bytes = store::save(*session.route(FlowKind::kGsino));
   bytes[bytes.size() / 2] ^= 0xFF;  // mid-payload flip
   EXPECT_EQ(store::load_routing(bytes, p), nullptr);
+}
+
+// Field-level decoding: bytes whose checksum is valid but whose values no
+// writer produces. Each case patches a routing record, recomputes the FNV
+// trailer so the frame passes, and expects the decoder itself to reject.
+
+/// Recomputes the FNV-1a payload checksum trailer after a patch.
+void refresh_checksum(std::vector<std::uint8_t>& bytes) {
+  constexpr std::size_t kHeader = 24;  // magic, version, type, payload size
+  util::Fnv1a64 h;
+  for (std::size_t i = kHeader; i < bytes.size() - 8; ++i) h.u8(bytes[i]);
+  const std::uint64_t sum = h.value();
+  for (int i = 0; i < 8; ++i) {
+    bytes[bytes.size() - 8 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(sum >> (8 * i));
+  }
+}
+
+// Byte offsets into a routing record, from the routing-profile field list
+// (IdRouterOptions::profile_tie) after the 24-byte frame header: alpha,
+// beta, gamma (f64 each), reserve_shields (u8), huge_net_bbox_threshold
+// (u64), preroute_shape (u32), max_detour_factor (f64), detour_slack (i32),
+// tree_profile (u8), then the override count (u64) and the 5-byte entries
+// (i32 net id, u8 profile) that kOverridesAt points at.
+constexpr std::size_t kPrerouteShapeAt = 24 + 33;
+constexpr std::size_t kTreeProfileAt = 24 + 49;
+constexpr std::size_t kOverridesAt = 24 + 58;
+
+TEST(StoreSerial, InvalidProfileFieldsAreRejected) {
+  const Pipeline pipe(0.3, 100);
+  const RoutingProblem p = pipe.problem();
+  FlowSession session(p);
+  router::IdRouterOptions opt = session.router_profile(FlowKind::kGsino);
+  opt.tree_profile_overrides = {{3, 2}, {17, 0}};
+  const std::vector<std::uint8_t> bytes =
+      store::save(*session.route(opt, FlowKind::kGsino));
+  const auto patched = [&](std::size_t at, std::uint8_t value) {
+    std::vector<std::uint8_t> b = bytes;
+    b.at(at) = value;
+    refresh_checksum(b);
+    return store::load_routing(b, p);
+  };
+
+  // The offsets are right: valid values in the same bytes load, and read
+  // back as written.
+  {
+    std::vector<std::uint8_t> same = bytes;
+    refresh_checksum(same);
+    EXPECT_EQ(same, bytes);
+  }
+  const auto z = patched(kPrerouteShapeAt, 1);
+  ASSERT_NE(z, nullptr);
+  EXPECT_EQ(z->options.preroute_shape, router::PrerouteShape::kZ);
+  const auto best = patched(kTreeProfileAt, 2);
+  ASSERT_NE(best, nullptr);
+  EXPECT_EQ(best->options.tree_profile, steiner::TreeProfile::kBest);
+  const auto ov = patched(kOverridesAt + 5, 5);  // second id 17 -> 5
+  ASSERT_NE(ov, nullptr);
+  EXPECT_EQ(ov->options.tree_profile_overrides[1],
+            (std::pair<std::int32_t, std::uint8_t>{5, 0}));
+
+  // Out-of-range enumerators.
+  EXPECT_EQ(patched(kPrerouteShapeAt, 2), nullptr);
+  EXPECT_EQ(patched(kPrerouteShapeAt + 3, 1), nullptr);  // high byte of u32
+  EXPECT_EQ(patched(kTreeProfileAt, 3), nullptr);
+  EXPECT_EQ(patched(kTreeProfileAt, 0xFF), nullptr);
+  EXPECT_EQ(patched(kOverridesAt + 4, 3), nullptr);  // first profile
+  // Override ids out of order (17 -> 2 after 3) and duplicated (17 -> 3).
+  EXPECT_EQ(patched(kOverridesAt + 5, 2), nullptr);
+  EXPECT_EQ(patched(kOverridesAt + 5, 3), nullptr);
 }
 
 TEST(StoreSerial, RecordForDifferentProblemIsRejected) {
