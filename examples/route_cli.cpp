@@ -77,7 +77,6 @@ struct CliOptions {
   std::string store_dir;
   std::uintmax_t store_max_bytes = std::uintmax_t{256} << 20;
   std::string flow = "gsino";  // idno | isino | gsino | all
-  std::string tree_profile;  // --tree-profile fast|balanced|best ("" = fast)
   std::vector<double> sweep_bounds;  // --sweep-bound list
   double scale = 0.25;
   double rate = 0.30;
@@ -119,10 +118,6 @@ struct CliOptions {
       "  --flow idno|isino|gsino|all (default gsino)\n"
       "  --sweep-bound B1,B2,...  what-if sweep: re-solve the flow at each\n"
       "                           bound off one cached Phase I routing\n"
-      "  --tree-profile P         Steiner tree quality tier: fast (default,\n"
-      "                           the historical path), balanced, or best —\n"
-      "                           changes the routing profile, so Phase I\n"
-      "                           reruns (or loads a per-profile artifact)\n"
       "  --seed N                 master seed (default 1)\n"
       "  --threads N              pool workers for routing + Phase II\n"
       "                           (default auto; output identical at any N)\n"
@@ -198,25 +193,6 @@ void report(const FlowResult& fr, const RoutingProblem& problem,
 volatile std::sig_atomic_t g_stop_requested = 0;
 void handle_stop_signal(int) { g_stop_requested = 1; }
 
-/// Maps --tree-profile to the Steiner quality tier; empty leaves the
-/// profile default (fast). Returns false on an unknown name.
-bool tree_profile_from(const std::string& s,
-                       std::optional<steiner::TreeProfile>* out) {
-  if (s.empty()) return true;
-  if (s == "fast") {
-    *out = steiner::TreeProfile::kFast;
-  } else if (s == "balanced") {
-    *out = steiner::TreeProfile::kBalanced;
-  } else if (s == "best") {
-    *out = steiner::TreeProfile::kBest;
-  } else {
-    std::fprintf(stderr, "--tree-profile %s is not fast|balanced|best\n",
-                 s.c_str());
-    return false;
-  }
-  return true;
-}
-
 /// The WhatIfQuery the circuit flags describe. The service speaks problem
 /// recipes, not netlist files, so --net has no service equivalent.
 bool query_from(const CliOptions& opt, service::WhatIfQuery* q) {
@@ -247,9 +223,6 @@ bool query_from(const CliOptions& opt, service::WhatIfQuery* q) {
                          "(use idno|isino|gsino)\n", opt.flow.c_str());
     return false;
   }
-  std::optional<steiner::TreeProfile> tier;
-  if (!tree_profile_from(opt.tree_profile, &tier)) return false;
-  if (tier) q->quality = static_cast<std::uint8_t>(*tier);
   return true;
 }
 
@@ -406,8 +379,6 @@ int main(int argc, char** argv) {
       opt.bound_v = std::atof(next());
     } else if (!std::strcmp(argv[i], "--flow")) {
       opt.flow = next();
-    } else if (!std::strcmp(argv[i], "--tree-profile")) {
-      opt.tree_profile = next();
     } else if (!std::strcmp(argv[i], "--sweep-bound")) {
       const char* s = next();
       while (*s != '\0') {
@@ -643,22 +614,16 @@ int main(int argc, char** argv) {
     usage(argv[0]);
   }
 
-  std::optional<steiner::TreeProfile> tree_tier;
-  if (!tree_profile_from(opt.tree_profile, &tree_tier)) usage(argv[0]);
-
   FlowResult last;
   for (FlowKind kind : kinds) {
     if (opt.sweep_bounds.empty()) {
-      Scenario scenario;
-      scenario.tree_profile = tree_tier;
-      last = session.run(kind, scenario);
+      last = session.run(kind);
       report(last, problem, opt.fingerprint);
       continue;
     }
     for (double bound : opt.sweep_bounds) {
       Scenario scenario;
       scenario.bound_v = bound;
-      scenario.tree_profile = tree_tier;
       last = session.run(kind, scenario);
       report(last, problem, opt.fingerprint);
     }

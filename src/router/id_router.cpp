@@ -11,6 +11,7 @@
 #include "obs/trace.h"
 #include "parallel/parallel_for.h"
 #include "rsmt/steiner.h"
+#include "steiner/tree_builder.h"
 #include "steiner/tree_cache.h"
 #include "util/indexed_heap.h"
 #include "util/stopwatch.h"
@@ -245,19 +246,6 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
   steiner::TreeCache tree_cache;
   const steiner::TreeBuilder tree_builder(steiner::TreeBuilderOptions{},
                                           &tree_cache);
-  const auto net_profile = [&](std::int32_t net_id) {
-    const auto& ov = options_.tree_profile_overrides;
-    const auto it = std::lower_bound(
-        ov.begin(), ov.end(), net_id,
-        [](const std::pair<std::int32_t, std::uint8_t>& e, std::int32_t id) {
-          return e.first < id;
-        });
-    if (it != ov.end() && it->first == net_id) {
-      return static_cast<steiner::TreeProfile>(
-          std::min<std::uint8_t>(it->second, steiner::kTreeProfileCount - 1));
-    }
-    return options_.tree_profile;
-  };
 
   // ---------------------------------------------------------------- build
   //
@@ -396,7 +384,7 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
       sc.present_stamp.assign(region_count * 2, 0);
     }
     const std::shared_ptr<const rsmt::Tree> tree_ptr =
-        tree_builder.build(net.pins, net_profile(net.id));
+        tree_builder.build(net.pins);
     const rsmt::Tree& tree = *tree_ptr;
     ++sc.edge_epoch;
     for (const auto& [a, b] : tree.edges) {
@@ -521,7 +509,7 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
     // directions in proportion to the bbox aspect; +1 converts crossings
     // to touched regions.
     wk.rsmt_len = static_cast<double>(std::max<std::int64_t>(
-        1, tree_builder.length(net.pins, net_profile(net.id))));
+        1, tree_builder.length(net.pins)));
     {
       const double wx = std::max(1, wk.w - 1);
       const double wy = std::max(1, wk.h - 1);

@@ -70,14 +70,12 @@
 
 #include <cstdint>
 #include <tuple>
-#include <utility>
 #include <vector>
 
 #include "grid/congestion.h"
 #include "grid/region_grid.h"
 #include "router/route_types.h"
 #include "sino/nss.h"
-#include "steiner/tree_builder.h"
 
 namespace rlcr::router {
 
@@ -121,16 +119,6 @@ struct IdRouterOptions {
   /// count, and shared-stats accumulation is replayed in net order by the
   /// ordered reducer. The deletion loop always runs serially.
   int threads = 0;
-  /// Quality tier for every net topology the router builds (huge-net
-  /// pre-routes and the f(WL) normalization trees): src/steiner profiles.
-  /// kFast is the historical rsmt::rsmt path, bit-identical to the
-  /// pre-profile router. Part of the routing profile — a different tier is
-  /// a different routing answer.
-  steiner::TreeProfile tree_profile = steiner::TreeProfile::kFast;
-  /// Per-net tier overrides for critical nets: (net id, TreeProfile value)
-  /// pairs, kept sorted by net id. A listed net is built at its own tier;
-  /// all others use `tree_profile`. Also part of the routing profile.
-  std::vector<std::pair<std::int32_t, std::uint8_t>> tree_profile_overrides;
 
  private:
   /// The single enumeration behind both profile_tie() overloads below.
@@ -140,8 +128,7 @@ struct IdRouterOptions {
     return std::tie(self.weights.alpha, self.weights.beta, self.weights.gamma,
                     self.reserve_shields, self.huge_net_bbox_threshold,
                     self.preroute_shape, self.max_detour_factor,
-                    self.detour_slack, self.tree_profile,
-                    self.tree_profile_overrides);
+                    self.detour_slack);
   }
 
  public:

@@ -7,6 +7,7 @@
 
 #include "obs/trace.h"
 #include "rsmt/steiner.h"
+#include "steiner/tree_builder.h"
 #include "steiner/tree_cache.h"
 #include "util/stopwatch.h"
 
@@ -51,9 +52,8 @@ RoutingResult MazeRouter::route(const std::vector<RouterNet>& nets) const {
   std::vector<std::int32_t> reached_list;
   std::vector<QE> pq;  // min-heap via std::push_heap/pop_heap + greater<>
 
-  // Decomposition topologies come from the tiered tree builder; the cache
-  // collapses identical pin configurations across nets. kFast (the default)
-  // reproduces the historical rsmt::rsmt trees bit-for-bit.
+  // Decomposition topologies come from the tree builder; the cache
+  // collapses identical pin configurations across nets.
   steiner::TreeCache tree_cache;
   const steiner::TreeBuilder tree_builder(steiner::TreeBuilderOptions{},
                                           &tree_cache);
@@ -96,7 +96,7 @@ RoutingResult MazeRouter::route(const std::vector<RouterNet>& nets) const {
     // Route 2-pin connections along the RSMT topology, connecting each new
     // terminal to the set of already-reached vertices.
     const std::shared_ptr<const rsmt::Tree> topo_ptr =
-        tree_builder.build(net.pins, options_.tree_profile);
+        tree_builder.build(net.pins);
     const rsmt::Tree& topo = *topo_ptr;
     for (const auto& [ta, tb] : topo.edges) {
       const geom::Point target_a = topo.nodes[static_cast<std::size_t>(ta)];

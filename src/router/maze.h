@@ -21,7 +21,6 @@
 
 #include "grid/region_grid.h"
 #include "router/route_types.h"
-#include "steiner/tree_builder.h"
 
 namespace rlcr::router {
 
@@ -33,10 +32,6 @@ struct MazeOptions {
   /// false for the historical Dijkstra tie-breaks (pinned by the golden
   /// regression tests against the pre-incremental implementation).
   bool use_astar = true;
-  /// Quality tier for the per-net RSMT decomposition topology
-  /// (src/steiner). kFast keeps the historical rsmt::rsmt trees and every
-  /// golden route shape.
-  steiner::TreeProfile tree_profile = steiner::TreeProfile::kFast;
 };
 
 class MazeRouter {

@@ -73,9 +73,7 @@ struct RoutingStats {
   /// plain RMST because their pin count exceeds
   /// rsmt::SteinerOptions::max_pins_exact. Counted once per non-trivial net
   /// during the serial sizing pass, so the value is deterministic and
-  /// independent of tree-cache hits or thread count. High values mean the
-  /// kBalanced/kBest profiles (which keep improving such nets) have the
-  /// most headroom.
+  /// independent of tree-cache hits or thread count.
   std::size_t rsmt_fallback_nets = 0;
   double runtime_s = 0.0;
 };

@@ -40,11 +40,12 @@
 
 namespace rlcr::service {
 
-/// v2: WhatIfQuery gained the `quality` tier byte (steiner::TreeProfile).
-/// The version travels in every frame header and try_parse rejects a
-/// mismatch as soon as the 12 header bytes exist, so a v1 peer gets a clean
-/// kBad instead of a misdecoded query (pinned by service_test).
-inline constexpr std::uint32_t kProtocolVersion = 2;
+/// v2: WhatIfQuery gained a one-byte Steiner tree selector; v3 dropped it
+/// again (every tree is rsmt::rsmt). The version travels in every frame
+/// header and try_parse rejects a mismatch as soon as the 12 header bytes
+/// exist, so an older peer gets a clean kBad instead of a misdecoded query
+/// (pinned by service_test).
+inline constexpr std::uint32_t kProtocolVersion = 3;
 /// Frames advertising a payload larger than this are rejected outright —
 /// every legal PDU is tiny; a huge size prefix is corruption or abuse.
 inline constexpr std::uint64_t kMaxPayloadBytes = std::uint64_t{1} << 20;
@@ -98,11 +99,6 @@ struct WhatIfQuery {
   double scenario_margin = 1.0;
   bool has_anneal = false;
   bool scenario_anneal = false;
-  /// Quality tier: steiner::TreeProfile as u8 (0 fast, 1 balanced, 2 best).
-  /// Maps to Scenario::tree_profile server-side; part of the coalesce key
-  /// (a different tier is a different answer) but not the session key (all
-  /// tiers share one FlowSession per problem).
-  std::uint8_t quality = 0;
 
   void encode(util::BinaryWriter& w) const;
   bool decode(util::BinaryReader& r);

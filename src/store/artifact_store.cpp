@@ -400,14 +400,6 @@ void hash_field(util::Fnv1a64& h, std::int32_t v) { h.i32(v); }
 void hash_field(util::Fnv1a64& h, router::PrerouteShape v) {
   h.u8(static_cast<std::uint8_t>(v));
 }
-void hash_field(util::Fnv1a64& h, steiner::TreeProfile v) {
-  h.u8(static_cast<std::uint8_t>(v));
-}
-void hash_field(util::Fnv1a64& h,
-                const std::vector<std::pair<std::int32_t, std::uint8_t>>& v) {
-  h.u64(v.size());
-  for (const auto& [id, profile] : v) h.i32(id).u8(profile);
-}
 
 }  // namespace
 

@@ -76,17 +76,6 @@ void put_field(BinaryWriter& w, std::int32_t v) { w.i32(v); }
 void put_field(BinaryWriter& w, router::PrerouteShape v) {
   w.u32(static_cast<std::uint32_t>(v));
 }
-void put_field(BinaryWriter& w, steiner::TreeProfile v) {
-  w.u8(static_cast<std::uint8_t>(v));
-}
-void put_field(BinaryWriter& w,
-               const std::vector<std::pair<std::int32_t, std::uint8_t>>& v) {
-  w.u64(v.size());
-  for (const auto& [id, profile] : v) {
-    w.i32(id);
-    w.u8(profile);
-  }
-}
 
 void get_field(BinaryReader& r, double& v) { v = r.f64(); }
 void get_field(BinaryReader& r, bool& v) { v = r.u8() != 0; }
@@ -94,9 +83,8 @@ void get_field(BinaryReader& r, std::size_t& v) {
   v = static_cast<std::size_t>(r.u64());
 }
 void get_field(BinaryReader& r, std::int32_t& v) { v = r.i32(); }
-// The enum and override decoders reject values no writer produces: an
-// out-of-range enumerator, and override lists that are not strictly
-// increasing in net id (the router looks them up with lower_bound).
+// The enum decoder rejects an out-of-range enumerator: no writer
+// produces one.
 void get_field(BinaryReader& r, router::PrerouteShape& v) {
   const std::uint32_t raw = r.u32();
   if (raw > static_cast<std::uint32_t>(router::PrerouteShape::kZ)) {
@@ -104,30 +92,6 @@ void get_field(BinaryReader& r, router::PrerouteShape& v) {
     return;
   }
   v = static_cast<router::PrerouteShape>(raw);
-}
-void get_field(BinaryReader& r, steiner::TreeProfile& v) {
-  const std::uint8_t raw = r.u8();
-  if (raw >= steiner::kTreeProfileCount) {
-    r.fail();
-    return;
-  }
-  v = static_cast<steiner::TreeProfile>(raw);
-}
-void get_field(BinaryReader& r,
-               std::vector<std::pair<std::int32_t, std::uint8_t>>& v) {
-  const std::uint64_t n = r.seq_size(/*elem_bytes=*/5);
-  if (!r.ok()) return;
-  v.resize(static_cast<std::size_t>(n));
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    auto& [id, profile] = v[i];
-    id = r.i32();
-    profile = r.u8();
-    if (profile >= steiner::kTreeProfileCount ||
-        (i > 0 && id <= v[i - 1].first)) {
-      r.fail();
-      return;
-    }
-  }
 }
 
 void write_options(BinaryWriter& w, const router::IdRouterOptions& o) {

@@ -40,14 +40,16 @@ namespace rlcr::store {
 /// replayed counters. A version bump — not an optional
 /// tail — keeps the "any validation failure loads as null" rule simple:
 /// v1 records are treated as misses and recompute.
-/// v3: the routing profile gained tree_profile + tree_profile_overrides
-/// (steiner quality tiers) and RoutingStats gained rsmt_fallback_nets;
-/// same rule — v2 records load as misses and recompute.
+/// v3: the routing profile gained two Steiner tree-selection fields and
+/// RoutingStats gained rsmt_fallback_nets; same rule — v2 records load as
+/// misses and recompute.
 /// v4: RefineStats gained pass2_cap_hit; v3 records load as misses.
 /// v5: the routing and refine payloads dropped their spec_attempted/
 /// committed/replayed counters (the deletion loop and refine pass 1 are
 /// serial-only); v4 records load as misses.
-inline constexpr std::uint32_t kFormatVersion = 5;
+/// v6: the routing profile dropped the two tree-selection fields again
+/// (every tree is rsmt::rsmt); v5 records load as misses.
+inline constexpr std::uint32_t kFormatVersion = 6;
 
 enum class ArtifactType : std::uint32_t {
   kRouting = 1,

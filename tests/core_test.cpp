@@ -4,10 +4,10 @@
 
 #include "core/budget.h"
 #include "core/experiment.h"
-#include "core/flow.h"
 #include "core/metrics.h"
 #include "core/paths.h"
 #include "core/problem.h"
+#include "core/session.h"
 
 namespace rlcr::gsino {
 namespace {
@@ -126,7 +126,7 @@ TEST(CriticalPath, EmptyForSingletons) {
 
 TEST(Flow, IdNoLeavesViolationsButOrdersNets) {
   const RoutingProblem p = tiny_problem(0.5);
-  const FlowResult fr = FlowRunner(p).run(FlowKind::kIdNo);
+  const FlowResult fr = FlowSession(p).run(FlowKind::kIdNo);
   EXPECT_EQ(fr.name, "ID+NO");
   // All region solutions are pure permutations (no shields).
   EXPECT_DOUBLE_EQ(fr.total_shields, 0.0);
@@ -135,20 +135,20 @@ TEST(Flow, IdNoLeavesViolationsButOrdersNets) {
 
 TEST(Flow, IsinoEliminatesAllViolations) {
   const RoutingProblem p = tiny_problem(0.5);
-  const FlowResult fr = FlowRunner(p).run(FlowKind::kIsino);
+  const FlowResult fr = FlowSession(p).run(FlowKind::kIsino);
   EXPECT_EQ(fr.violating, 0u);
 }
 
 TEST(Flow, GsinoEliminatesAllViolations) {
   const RoutingProblem p = tiny_problem(0.5);
-  const FlowResult fr = FlowRunner(p).run(FlowKind::kGsino);
+  const FlowResult fr = FlowSession(p).run(FlowKind::kGsino);
   EXPECT_EQ(fr.violating, 0u);
   EXPECT_EQ(fr.unfixable, 0u);
 }
 
 TEST(Flow, SolutionsSatisfySinoConstraints) {
   const RoutingProblem p = tiny_problem(0.4);
-  const FlowResult fr = FlowRunner(p).run(FlowKind::kIsino);
+  const FlowResult fr = FlowSession(p).run(FlowKind::kIsino);
   for (const RegionSolution& sol : fr.solutions()) {
     if (sol.empty()) continue;
     const sino::SinoEvaluator eval(sol.instance, p.keff());
@@ -162,7 +162,7 @@ TEST(Flow, SolutionsSatisfySinoConstraints) {
 TEST(Flow, LskAccountingIsConsistent) {
   // net_lsk must equal the sum over solutions of path_len * ki.
   const RoutingProblem p = tiny_problem(0.4);
-  const FlowResult fr = FlowRunner(p).run(FlowKind::kGsino);
+  const FlowResult fr = FlowSession(p).run(FlowKind::kGsino);
   std::vector<double> recomputed(p.net_count(), 0.0);
   for (const RegionSolution& sol : fr.solutions()) {
     for (std::size_t i = 0; i < sol.net_index.size(); ++i) {
@@ -176,7 +176,7 @@ TEST(Flow, LskAccountingIsConsistent) {
 
 TEST(Flow, CongestionSegmentsMatchOccupancy) {
   const RoutingProblem p = tiny_problem();
-  const FlowResult fr = FlowRunner(p).run(FlowKind::kIdNo);
+  const FlowResult fr = FlowSession(p).run(FlowKind::kIdNo);
   for (std::size_t r = 0; r < p.grid().region_count(); ++r) {
     for (grid::Dir d : grid::kBothDirs) {
       EXPECT_DOUBLE_EQ(
@@ -188,7 +188,7 @@ TEST(Flow, CongestionSegmentsMatchOccupancy) {
 
 TEST(Flow, WirelengthAggregatesAreCoherent) {
   const RoutingProblem p = tiny_problem();
-  const FlowResult fr = FlowRunner(p).run(FlowKind::kIdNo);
+  const FlowResult fr = FlowSession(p).run(FlowKind::kIdNo);
   EXPECT_NEAR(fr.avg_wirelength_um * static_cast<double>(p.net_count()),
               fr.total_wirelength_um, 1e-6);
   EXPECT_GT(fr.area.width_um, 0.0);
@@ -197,8 +197,8 @@ TEST(Flow, WirelengthAggregatesAreCoherent) {
 
 TEST(Flow, DeterministicAcrossRuns) {
   const RoutingProblem p = tiny_problem();
-  const FlowResult a = FlowRunner(p).run(FlowKind::kGsino);
-  const FlowResult b = FlowRunner(p).run(FlowKind::kGsino);
+  const FlowResult a = FlowSession(p).run(FlowKind::kGsino);
+  const FlowResult b = FlowSession(p).run(FlowKind::kGsino);
   EXPECT_EQ(a.violating, b.violating);
   EXPECT_DOUBLE_EQ(a.total_wirelength_um, b.total_wirelength_um);
   EXPECT_DOUBLE_EQ(a.total_shields, b.total_shields);
@@ -215,7 +215,7 @@ TEST(Flow, FlowNames) {
 
 TEST(Metrics, SummarizeCopiesFields) {
   const RoutingProblem p = tiny_problem();
-  const FlowResult fr = FlowRunner(p).run(FlowKind::kIdNo);
+  const FlowResult fr = FlowSession(p).run(FlowKind::kIdNo);
   const FlowSummary s = summarize(fr, p);
   EXPECT_EQ(s.name, "ID+NO");
   EXPECT_EQ(s.total_nets, p.net_count());

@@ -97,7 +97,6 @@ TEST(ServiceProtocol, SubmitRoundTripCarriesEveryQueryField) {
   in.query.scenario_margin = 0.07;
   in.query.has_anneal = true;
   in.query.scenario_anneal = true;
-  in.query.quality = 2;  // steiner::TreeProfile::kBest
   const Submit out = roundtrip(in);
   EXPECT_EQ(out.query.source, in.query.source);
   EXPECT_EQ(out.query.circuit, in.query.circuit);
@@ -113,31 +112,31 @@ TEST(ServiceProtocol, SubmitRoundTripCarriesEveryQueryField) {
   EXPECT_EQ(out.query.scenario_margin, in.query.scenario_margin);
   EXPECT_EQ(out.query.has_anneal, true);
   EXPECT_EQ(out.query.scenario_anneal, true);
-  EXPECT_EQ(out.query.quality, 2);
   EXPECT_EQ(query_coalesce_key(out.query), query_coalesce_key(in.query));
 }
 
-// Protocol v2 compatibility: the version bump that added the quality tier
-// makes v1 frames kBad at the 12-byte header — a v1 client is refused
-// before any payload parsing, never silently mis-decoded.
-TEST(ServiceProtocol, Version1FramesAreRejectedAtTheHeader) {
-  ASSERT_EQ(kProtocolVersion, 2u);
+// Protocol v3 compatibility: the version bump that dropped the tree
+// selector byte makes v2 frames kBad at the 12-byte header — a v2 client
+// is refused before any payload parsing, never silently mis-decoded.
+TEST(ServiceProtocol, Version2FramesAreRejectedAtTheHeader) {
+  ASSERT_EQ(kProtocolVersion, 3u);
   std::vector<std::uint8_t> bytes = encode(Submit{});
-  const std::uint32_t v1 = 1;
-  std::memcpy(bytes.data() + 8, &v1, sizeof v1);  // version follows magic
+  const std::uint32_t v2 = 2;
+  std::memcpy(bytes.data() + 8, &v2, sizeof v2);  // version follows magic
   Frame frame;
   std::size_t consumed = 0;
   EXPECT_EQ(try_parse(bytes.data(), bytes.size(), &consumed, &frame),
             ParseStatus::kBad);
 }
 
-TEST(ServiceProtocol, OutOfRangeQualityFailsDecode) {
+// A v2-shaped Submit payload — the v3 query plus the old trailing tree
+// selector byte — inside a v3 frame fails decode<Submit>: the decoder
+// consumes exactly the v3 fields and rejects any byte left over.
+TEST(ServiceProtocol, SubmitWithTrailingQualityByteFailsDecode) {
   util::BinaryWriter w;
-  WhatIfQuery q = tiny_query();
-  q.quality = 1;
-  q.encode(w);
+  tiny_query().encode(w);
   std::vector<std::uint8_t> payload = w.take();
-  payload.back() = 3;  // quality is the final payload byte; 3 > kBest
+  payload.push_back(0);  // the v2 quality byte, at its default
   const std::vector<std::uint8_t> bytes =
       encode_frame(PduType::kSubmit, std::move(payload));
   Frame frame;
@@ -145,14 +144,6 @@ TEST(ServiceProtocol, OutOfRangeQualityFailsDecode) {
   ASSERT_EQ(try_parse(bytes.data(), bytes.size(), &consumed, &frame),
             ParseStatus::kFrame);
   EXPECT_FALSE(decode<Submit>(frame).has_value());
-}
-
-TEST(ServiceProtocol, QualityIsInCoalesceKeyNotSessionKey) {
-  WhatIfQuery a = tiny_query();
-  WhatIfQuery b = a;
-  b.quality = 2;
-  EXPECT_EQ(query_session_key(a), query_session_key(b));
-  EXPECT_NE(query_coalesce_key(a), query_coalesce_key(b));
 }
 
 TEST(ServiceProtocol, SubmitAckRoundTrip) {

@@ -322,17 +322,5 @@ TEST(Session, ObserverSeesStagesAndReuse) {
   EXPECT_FALSE(events[2].reused);
 }
 
-TEST(Session, FlowRunnerShimDelegatesToSession) {
-  const Pipeline pipe(0.3);
-  const RoutingProblem p = pipe.problem();
-  const FlowRunner runner(p);
-  const FlowResult a = runner.run(FlowKind::kIdNo);
-  FlowSession session(p);
-  const FlowResult b = session.run(FlowKind::kIdNo);
-  EXPECT_DOUBLE_EQ(a.total_wirelength_um, b.total_wirelength_um);
-  EXPECT_EQ(a.violating, b.violating);
-  EXPECT_EQ(router::route_hash(a.routing()), router::route_hash(b.routing()));
-}
-
 }  // namespace
 }  // namespace rlcr::gsino

@@ -96,31 +96,6 @@ TEST(StoreSerial, RoutingRoundTripIsBitIdentical) {
   EXPECT_EQ(loaded->seconds, art->seconds);
 }
 
-// The routing profile extension (format v3): tree_profile and the per-net
-// override list survive the round trip and participate in profile
-// identity, so a kBalanced artifact can never be mistaken for a kFast one.
-TEST(StoreSerial, RoutingRoundTripCarriesTreeProfile) {
-  const Pipeline pipe(0.5);
-  const RoutingProblem p = pipe.problem();
-  FlowSession session(p);
-  router::IdRouterOptions opt = session.router_profile(FlowKind::kGsino);
-  opt.tree_profile = steiner::TreeProfile::kBalanced;
-  opt.tree_profile_overrides = {{3, 2}, {17, 0}};
-  const auto art = session.route(opt, FlowKind::kGsino);
-
-  const auto loaded = store::load_routing(store::save(*art), p);
-  ASSERT_NE(loaded, nullptr);
-  expect_routing_equal(*art, *loaded, p);
-  EXPECT_EQ(loaded->options.tree_profile, steiner::TreeProfile::kBalanced);
-  ASSERT_EQ(loaded->options.tree_profile_overrides.size(), 2u);
-  EXPECT_EQ(loaded->options.tree_profile_overrides[0],
-            (std::pair<std::int32_t, std::uint8_t>{3, 2}));
-  EXPECT_EQ(loaded->routing->stats.rsmt_fallback_nets,
-            art->routing->stats.rsmt_fallback_nets);
-  EXPECT_FALSE(loaded->options.same_routing_profile(
-      session.router_profile(FlowKind::kGsino)));
-}
-
 TEST(StoreSerial, BudgetRoundTripIsBitIdenticalForEveryRule) {
   const Pipeline pipe(0.5);
   const RoutingProblem p = pipe.problem();
@@ -312,21 +287,17 @@ void refresh_checksum(std::vector<std::uint8_t>& bytes) {
 // Byte offsets into a routing record, from the routing-profile field list
 // (IdRouterOptions::profile_tie) after the 24-byte frame header: alpha,
 // beta, gamma (f64 each), reserve_shields (u8), huge_net_bbox_threshold
-// (u64), preroute_shape (u32), max_detour_factor (f64), detour_slack (i32),
-// tree_profile (u8), then the override count (u64) and the 5-byte entries
-// (i32 net id, u8 profile) that kOverridesAt points at.
+// (u64), preroute_shape (u32), max_detour_factor (f64), detour_slack (i32).
+// The artifact seed (u64) follows the profile directly.
 constexpr std::size_t kPrerouteShapeAt = 24 + 33;
-constexpr std::size_t kTreeProfileAt = 24 + 49;
-constexpr std::size_t kOverridesAt = 24 + 58;
+constexpr std::size_t kSeedAt = 24 + 49;
 
 TEST(StoreSerial, InvalidProfileFieldsAreRejected) {
   const Pipeline pipe(0.3, 100);
   const RoutingProblem p = pipe.problem();
   FlowSession session(p);
-  router::IdRouterOptions opt = session.router_profile(FlowKind::kGsino);
-  opt.tree_profile_overrides = {{3, 2}, {17, 0}};
-  const std::vector<std::uint8_t> bytes =
-      store::save(*session.route(opt, FlowKind::kGsino));
+  const auto art = session.route(FlowKind::kGsino);
+  const std::vector<std::uint8_t> bytes = store::save(*art);
   const auto patched = [&](std::size_t at, std::uint8_t value) {
     std::vector<std::uint8_t> b = bytes;
     b.at(at) = value;
@@ -344,23 +315,35 @@ TEST(StoreSerial, InvalidProfileFieldsAreRejected) {
   const auto z = patched(kPrerouteShapeAt, 1);
   ASSERT_NE(z, nullptr);
   EXPECT_EQ(z->options.preroute_shape, router::PrerouteShape::kZ);
-  const auto best = patched(kTreeProfileAt, 2);
-  ASSERT_NE(best, nullptr);
-  EXPECT_EQ(best->options.tree_profile, steiner::TreeProfile::kBest);
-  const auto ov = patched(kOverridesAt + 5, 5);  // second id 17 -> 5
-  ASSERT_NE(ov, nullptr);
-  EXPECT_EQ(ov->options.tree_profile_overrides[1],
-            (std::pair<std::int32_t, std::uint8_t>{5, 0}));
+  const auto reseeded =
+      patched(kSeedAt, static_cast<std::uint8_t>(bytes.at(kSeedAt) ^ 0x01));
+  ASSERT_NE(reseeded, nullptr);
+  EXPECT_EQ(reseeded->seed, art->seed ^ 0x01);
 
   // Out-of-range enumerators.
   EXPECT_EQ(patched(kPrerouteShapeAt, 2), nullptr);
+  EXPECT_EQ(patched(kPrerouteShapeAt, 0xFF), nullptr);
   EXPECT_EQ(patched(kPrerouteShapeAt + 3, 1), nullptr);  // high byte of u32
-  EXPECT_EQ(patched(kTreeProfileAt, 3), nullptr);
-  EXPECT_EQ(patched(kTreeProfileAt, 0xFF), nullptr);
-  EXPECT_EQ(patched(kOverridesAt + 4, 3), nullptr);  // first profile
-  // Override ids out of order (17 -> 2 after 3) and duplicated (17 -> 3).
-  EXPECT_EQ(patched(kOverridesAt + 5, 2), nullptr);
-  EXPECT_EQ(patched(kOverridesAt + 5, 3), nullptr);
+}
+
+// Format v6 dropped two routing-profile fields. A v5 record — the v6
+// profile with the old u8 + u64 pair re-inserted after detour_slack, and
+// the v5 version stamp — loads as a miss, never as a misaligned decode.
+TEST(StoreSerial, Version5RoutingRecordLoadsAsMiss) {
+  ASSERT_EQ(store::kFormatVersion, 6u);
+  const Pipeline pipe(0.3, 100);
+  const RoutingProblem p = pipe.problem();
+  FlowSession session(p);
+  std::vector<std::uint8_t> bytes = store::save(*session.route(FlowKind::kGsino));
+  bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(kSeedAt), 9, 0);
+  bytes[8] = 5;  // version field (u32 LE at offset 8)
+  const std::uint64_t payload = bytes.size() - 24 - 8;
+  for (int i = 0; i < 8; ++i) {
+    bytes[16 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(payload >> (8 * i));
+  }
+  refresh_checksum(bytes);
+  EXPECT_EQ(store::load_routing(bytes, p), nullptr);
 }
 
 TEST(StoreSerial, RecordForDifferentProblemIsRejected) {
