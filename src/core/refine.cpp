@@ -21,10 +21,12 @@ std::ptrdiff_t find_member(const RegionSolution& sol, std::size_t net) {
   return -1;
 }
 
-/// Snapshot of one region's state, for accept/reject reverts.
+/// Snapshot of one region's state, for accept/reject reverts. It holds the
+/// region's solution object itself: holding it makes the next write clone
+/// the slot, and a revert re-installs the untouched original.
 struct RegionBackup {
   std::size_t sol_index = 0;
-  RegionSolution solution;
+  RegionSolutions::Slot solution;
   std::vector<double> lsk, noise;  ///< per member net
   double shields_before = 0.0;
 };
@@ -32,10 +34,11 @@ struct RegionBackup {
 RegionBackup snapshot(const FlowState& fs, std::size_t si) {
   RegionBackup b;
   b.sol_index = si;
-  b.solution = fs.solutions[si];
-  b.lsk.reserve(b.solution.net_index.size());
-  b.noise.reserve(b.solution.net_index.size());
-  for (std::size_t n : b.solution.net_index) {
+  b.solution = fs.solutions.slot(si);
+  const std::vector<std::size_t>& members = fs.solutions[si].net_index;
+  b.lsk.reserve(members.size());
+  b.noise.reserve(members.size());
+  for (std::size_t n : members) {
     b.lsk.push_back(fs.net_lsk[n]);
     b.noise.push_back(fs.net_noise[n]);
   }
@@ -44,7 +47,7 @@ RegionBackup snapshot(const FlowState& fs, std::size_t si) {
 }
 
 void restore(FlowState& fs, const RegionBackup& b) {
-  fs.solutions[b.sol_index] = b.solution;
+  fs.solutions.reset(b.sol_index, b.solution);
   const RegionSolution& sol = fs.solutions[b.sol_index];
   for (std::size_t i = 0; i < sol.net_index.size(); ++i) {
     fs.net_lsk[sol.net_index[i]] = b.lsk[i];
@@ -59,7 +62,7 @@ void restore(FlowState& fs, const RegionBackup& b) {
 /// critical path does not run through this region tolerates any coupling
 /// here; give it generous headroom.
 void loosen_kth(FlowState& fs, std::size_t si, double lsk_budget) {
-  RegionSolution& sol = fs.solutions[si];
+  RegionSolution& sol = fs.solutions.mut(si);
   for (std::size_t i = 0; i < sol.net_index.size(); ++i) {
     const std::size_t n = sol.net_index[i];
     sino::SinoNet& snet = sol.instance.net(i);
@@ -104,11 +107,15 @@ bool accepted(const FlowState& fs, const RegionBackup& b) {
 
 CongestedCells::CongestedCells(const FlowState& fs)
     : cells_(fs.solutions.size()), heap_(fs.solutions.size()) {
-  // push, not build(): build copies the entry list, a transient that shows
-  // up in peak RSS at full size.
+  // Pop order depends only on the (key, id) pairs, so a bulk build pops
+  // exactly what one push per cell would.
+  std::vector<util::IndexedMaxHeap::Entry> entries;
   for (std::size_t si = 0; si < cells_; ++si) {
-    if (const auto key = pass2_key(fs, si)) heap_.push(id_of(si), *key);
+    if (const auto key = pass2_key(fs, si)) {
+      entries.push_back(util::IndexedMaxHeap::Entry{*key, id_of(si)});
+    }
   }
+  heap_.build(std::move(entries));
 }
 
 std::size_t CongestedCells::top() const {
@@ -195,7 +202,7 @@ void LocalRefiner::eliminate_violations(FlowState& fs,
       }
       if (!have) break;
 
-      RegionSolution& sol = fs.solutions[best_sol];
+      RegionSolution& sol = fs.solutions.mut(best_sol);
       const auto mi = best_member;
 
       // Tighten the bound so the re-solve must add shielding (Fig. 2:

@@ -92,6 +92,31 @@ RegionSolution build_region_solution(const RoutingProblem& problem,
   return sol;
 }
 
+// ---------------------------------------------------------- RegionSolutions
+
+const RegionSolution& RegionSolutions::empty_solution() {
+  static const RegionSolution kEmpty;
+  return kEmpty;
+}
+
+void RegionSolutions::set(std::size_t si, RegionSolution&& sol) {
+  slots_[si] = sol.empty() ? nullptr
+                           : std::make_shared<RegionSolution>(std::move(sol));
+}
+
+RegionSolution& RegionSolutions::mut(std::size_t si) {
+  Slot& s = slots_[si];
+  if (!s) {
+    s = std::make_shared<RegionSolution>();
+  } else if (s.use_count() > 1) {
+    s = std::make_shared<RegionSolution>(*s);
+  }
+  // Every held object was made here as a non-const RegionSolution, so
+  // writing through it is well-defined; the const in Slot only keeps the
+  // other holders read-only.
+  return const_cast<RegionSolution&>(*s);
+}
+
 namespace {
 
 // LRU bookkeeping over the per-stage cache vectors: recency order with the
@@ -135,7 +160,7 @@ sino::SinoBatchItem resolve_item(const RoutingProblem& p,
 
 void FlowState::commit_region(std::size_t sol_idx, ktable::SlotVec&& slots,
                               std::vector<double>&& ki) {
-  RegionSolution& sol = solutions[sol_idx];
+  RegionSolution& sol = solutions.mut(sol_idx);
   const RoutingProblem& p = *problem;
 
   // Remove old LSK contributions (critical-path lengths; Eq. 1 is per sink).
@@ -162,7 +187,7 @@ void FlowState::commit_region(std::size_t sol_idx, ktable::SlotVec&& slots,
 }
 
 void FlowState::resolve_region(std::size_t sol_idx, bool allow_anneal) {
-  RegionSolution& sol = solutions[sol_idx];
+  const RegionSolution& sol = solutions[sol_idx];
   if (sol.empty()) return;
   util::Stopwatch watch;
   sino::SinoBatchResult solved = sino::solve_one(
@@ -270,9 +295,7 @@ std::shared_ptr<RoutingArtifact> derive_routing_artifact(
   auto lengths = std::make_shared<std::vector<double>>(p.net_count(), 0.0);
   for (std::size_t n = 0; n < paths.size(); ++n) {
     (*lengths)[n] = paths[n].length_um;
-    for (const router::NetRegionRef& ref : paths[n].refs) {
-      index->set(n, ref.region, ref.dir, ref.length_um);
-    }
+    index->add_net(paths[n].refs);
   }
 
   art->routing = std::move(routing);
@@ -496,12 +519,16 @@ std::shared_ptr<const RegionSolveArtifact> FlowSession::solve_regions(
   const PathIndex& paths = *phase1->paths;
 
   constexpr std::size_t kRegionGrain = 32;  // instances per chunk (fixed)
-  auto solutions = std::make_shared<std::vector<RegionSolution>>(
-      parallel::parallel_map<RegionSolution>(
-          sol_count, kRegionGrain, p.params().threads, [&](std::size_t si) {
-            return build_region_solution(p, *phase1->occupancy, sol_region(si),
-                                         sol_dir(si), kth, paths);
-          }));
+  auto solutions = std::make_shared<RegionSolutions>(sol_count);
+  parallel::parallel_for(
+      sol_count, kRegionGrain, p.params().threads,
+      [&](std::size_t begin, std::size_t end, int) {
+        for (std::size_t si = begin; si < end; ++si) {
+          solutions->set(si, build_region_solution(p, *phase1->occupancy,
+                                                   sol_region(si), sol_dir(si),
+                                                   kth, paths));
+        }
+      });
 
   std::vector<sino::SinoBatchItem> items(sol_count);
   for (std::size_t si = 0; si < sol_count; ++si) {
@@ -530,8 +557,8 @@ std::shared_ptr<const RegionSolveArtifact> FlowSession::solve_regions(
   for (std::size_t r = 0; r < regions; ++r) {
     for (grid::Dir d : grid::kBothDirs) {
       const std::size_t si = art->sol_index(r, d);
-      RegionSolution& sol = (*solutions)[si];
-      if (sol.empty()) continue;
+      if ((*solutions)[si].empty()) continue;
+      RegionSolution& sol = solutions->mut(si);
       sol.slots = std::move(solved[si].slots);
       sol.ki = std::move(solved[si].ki);
       for (std::size_t i = 0; i < sol.net_index.size(); ++i) {
@@ -572,7 +599,7 @@ FlowState FlowSession::state(const RegionSolveArtifact& solve) const {
   st.bound_v = solve.budget->bound_v;
   st.phase1 = solve.phase1;
   st.budget = solve.budget;
-  st.solutions = *solve.solutions;  // mutable copies of the artifact state
+  st.solutions = *solve.solutions;  // shares every slot until written
   st.net_lsk = *solve.net_lsk;
   st.net_noise = *solve.net_noise;
   st.congestion = std::make_unique<grid::CongestionMap>(*solve.congestion);
@@ -649,8 +676,8 @@ std::shared_ptr<const RefineArtifact> FlowSession::refine(
 
   auto art = std::make_shared<RefineArtifact>();
   art->base = solve;
-  art->solutions = std::make_shared<const std::vector<RegionSolution>>(
-      std::move(st.solutions));
+  art->solutions =
+      std::make_shared<const RegionSolutions>(std::move(st.solutions));
   art->net_lsk =
       std::make_shared<const std::vector<double>>(std::move(st.net_lsk));
   art->net_noise =

@@ -34,12 +34,13 @@
 // indistinguishable from a recomputed one.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/budget.h"
@@ -95,6 +96,82 @@ struct RegionSolution {
   bool empty() const { return net_index.empty(); }
 };
 
+/// Every (region, dir) RegionSolution of one flow state, index = region * 2
+/// + dir, held copy-on-write. Each slot is a shared_ptr to an immutable
+/// solution, so copying the container copies pointers: a refine artifact,
+/// a what-if FlowState or a patched ECO solve shares every slot it did not
+/// rewrite with the artifact it came from. `mut` is the one write path; it
+/// clones a slot first when anything else still holds it. Empty slots hold
+/// no object and read as an empty solution.
+///
+/// Thread safety: artifacts are immutable, and only the thread that owns a
+/// FlowState mutates it, so nobody writes through a slot another container
+/// can see. That makes `use_count() > 1` a safe clone test. A count above 1
+/// means another holder may be reading the object. A count of 1 means this
+/// container is the only holder, and no other thread can acquire the slot
+/// without going through it. A count that drops to 1 concurrently only
+/// costs an unneeded clone.
+class RegionSolutions {
+ public:
+  using Slot = std::shared_ptr<const RegionSolution>;
+
+  RegionSolutions() = default;
+  /// `count` empty slots.
+  explicit RegionSolutions(std::size_t count) : slots_(count) {}
+
+  std::size_t size() const { return slots_.size(); }
+  const RegionSolution& operator[](std::size_t si) const {
+    return slots_[si] ? *slots_[si] : empty_solution();
+  }
+
+  /// Install `sol` at `si` (an empty solution clears the slot).
+  void set(std::size_t si, RegionSolution&& sol);
+  /// Writable slot `si`, cloned first when it is shared.
+  RegionSolution& mut(std::size_t si);
+
+  /// The object held at `si` (null when empty), for re-installing it later
+  /// with `reset`: an undo that costs no copy. `reset` takes only slots
+  /// obtained from `slot`, so every held object was created writable.
+  const Slot& slot(std::size_t si) const { return slots_[si]; }
+  void reset(std::size_t si, Slot slot) { slots_[si] = std::move(slot); }
+
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = RegionSolution;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const RegionSolution*;
+    using reference = const RegionSolution&;
+
+    const_iterator() = default;
+    reference operator*() const { return *it_ ? **it_ : empty_solution(); }
+    pointer operator->() const { return &**this; }
+    const_iterator& operator++() {
+      ++it_;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator old = *this;
+      ++it_;
+      return old;
+    }
+    friend bool operator==(const const_iterator&,
+                           const const_iterator&) = default;
+
+   private:
+    friend class RegionSolutions;
+    explicit const_iterator(std::vector<Slot>::const_iterator it) : it_(it) {}
+    std::vector<Slot>::const_iterator it_;
+  };
+  const_iterator begin() const { return const_iterator(slots_.begin()); }
+  const_iterator end() const { return const_iterator(slots_.end()); }
+
+ private:
+  static const RegionSolution& empty_solution();
+
+  std::vector<Slot> slots_;
+};
+
 struct FlowTiming {
   double route_s = 0.0;
   double sino_s = 0.0;
@@ -142,24 +219,39 @@ using StageObserver = std::function<void(const StageEvent&)>;
 /// Index of per-(net, region, dir) critical-path lengths (um). Immutable
 /// part of the routing artifact: Eq. (1) sums path_len * Ki over the
 /// regions of a source->sink path only, so every downstream stage needs
-/// this lookup.
+/// this lookup. Each net owns one slice of (region * 2 + dir) keys in
+/// ascending order, appended in net order; a lookup is a binary search
+/// inside the net's slice.
 class PathIndex {
  public:
-  void set(std::size_t net, std::size_t region, grid::Dir dir, double len_um) {
-    map_[key(net, region, dir)] = len_um;
+  /// Append the next net's refs, sorted by (region, dir) with no
+  /// duplicates (critical_path's output order).
+  void add_net(const std::vector<router::NetRegionRef>& refs) {
+    for (const router::NetRegionRef& ref : refs) {
+      keys_.push_back(sol_index_of(ref.region, ref.dir));
+      len_um_.push_back(ref.length_um);
+    }
+    begin_.push_back(keys_.size());
   }
-  /// Length in um, or 0 when the region only hosts a branch.
+  /// Length in um, or 0 when the region only hosts a branch (or the net
+  /// was never added).
   double length_um(std::size_t net, std::size_t region, grid::Dir dir) const {
-    const auto it = map_.find(key(net, region, dir));
-    return it == map_.end() ? 0.0 : it->second;
+    if (net + 1 >= begin_.size()) return 0.0;
+    const auto first = keys_.begin() + static_cast<std::ptrdiff_t>(begin_[net]);
+    const auto last =
+        keys_.begin() + static_cast<std::ptrdiff_t>(begin_[net + 1]);
+    const std::size_t key = sol_index_of(region, dir);
+    const auto it = std::lower_bound(first, last, key);
+    return it == last || *it != key
+               ? 0.0
+               : len_um_[static_cast<std::size_t>(it - keys_.begin())];
   }
 
  private:
-  static std::uint64_t key(std::size_t net, std::size_t region, grid::Dir dir) {
-    return (static_cast<std::uint64_t>(net) << 33) | (region << 1) |
-           static_cast<std::uint64_t>(dir);
-  }
-  std::unordered_map<std::uint64_t, double> map_;
+  /// Net n's keys are [begin_[n], begin_[n + 1]).
+  std::vector<std::size_t> begin_{0};
+  std::vector<std::size_t> keys_;  ///< region * 2 + dir, per-net ascending
+  std::vector<double> len_um_;     ///< parallel to keys_
 };
 
 /// Build the SINO instance of one (region, dir) from an occupancy's
@@ -227,14 +319,16 @@ struct BudgetArtifact {
 };
 
 /// Phase II output: every (region, dir) SINO solution plus the derived
-/// noise state, as an immutable snapshot. Phase III copies the mutable
-/// parts into a FlowState; flows without refinement view it directly.
+/// noise state, as an immutable snapshot. Phase III starts a FlowState
+/// from it: the per-net vectors and congestion map are copied, the
+/// solutions are shared slot by slot and cloned only where Phase III
+/// writes. Flows without refinement view it directly.
 struct RegionSolveArtifact {
   FlowKind kind = FlowKind::kIdNo;  ///< solve mode (net-order vs SINO)
   bool annealed = false;            ///< Phase II annealing was enabled
   std::shared_ptr<const RoutingArtifact> phase1;
   std::shared_ptr<const BudgetArtifact> budget;
-  std::shared_ptr<const std::vector<RegionSolution>> solutions;
+  std::shared_ptr<const RegionSolutions> solutions;
   std::shared_ptr<const std::vector<double>> net_lsk;
   std::shared_ptr<const std::vector<double>> net_noise;
   std::shared_ptr<const grid::CongestionMap> congestion;  ///< with shields
@@ -274,10 +368,11 @@ struct RefineOptions {
   int threads = 0;
 };
 
-/// Phase III output: the refined per-region state.
+/// Phase III output: the refined per-region state. Its solutions share
+/// every slot Phase III did not rewrite with `base`'s.
 struct RefineArtifact {
   std::shared_ptr<const RegionSolveArtifact> base;
-  std::shared_ptr<const std::vector<RegionSolution>> solutions;
+  std::shared_ptr<const RegionSolutions> solutions;
   std::shared_ptr<const std::vector<double>> net_lsk;
   std::shared_ptr<const std::vector<double>> net_noise;
   std::shared_ptr<const grid::CongestionMap> congestion;
@@ -304,14 +399,14 @@ struct FlowResult {
   std::shared_ptr<const RefineArtifact> phase3;  ///< null unless refined
 
   /// Final (possibly refined) state.
-  std::shared_ptr<const std::vector<RegionSolution>> solutions_ptr;
+  std::shared_ptr<const RegionSolutions> solutions_ptr;
   std::shared_ptr<const std::vector<double>> net_lsk_ptr;
   std::shared_ptr<const std::vector<double>> net_noise_ptr;
   std::shared_ptr<const grid::CongestionMap> congestion;
   std::shared_ptr<const router::Occupancy> occupancy;
 
   const router::RoutingResult& routing() const { return *phase1->routing; }
-  const std::vector<RegionSolution>& solutions() const { return *solutions_ptr; }
+  const RegionSolutions& solutions() const { return *solutions_ptr; }
   const std::vector<double>& net_lsk() const { return *net_lsk_ptr; }
   const std::vector<double>& net_noise() const { return *net_noise_ptr; }
   const std::vector<double>& kth() const { return *budget->kth; }
@@ -341,10 +436,13 @@ std::uint64_t state_fingerprint(const FlowResult& fr);
 
 // --------------------------------------------------------------- FlowState
 
-/// Mutable Phase III working state, owned by the session (or by whoever
-/// asked the session for one). The historical free functions
-/// resolve_region / refresh_noise / finalize_metrics over FlowResult are
-/// methods here; LocalRefiner operates on a FlowState.
+/// Mutable Phase III working state, owned by whoever asked the session for
+/// one and used by one thread at a time. Its solutions start out sharing
+/// every slot with the solve artifact it was made from; writes go through
+/// `solutions.mut`, which clones a slot on first touch, so the artifact is
+/// never modified. The historical free functions resolve_region /
+/// refresh_noise / finalize_metrics over FlowResult are methods here;
+/// LocalRefiner operates on a FlowState.
 struct FlowState {
   const RoutingProblem* problem = nullptr;
   FlowKind kind = FlowKind::kGsino;
@@ -352,7 +450,7 @@ struct FlowState {
   std::shared_ptr<const RoutingArtifact> phase1;
   std::shared_ptr<const BudgetArtifact> budget;
 
-  std::vector<RegionSolution> solutions;  ///< index = region * 2 + dir
+  RegionSolutions solutions;              ///< index = region * 2 + dir
   std::vector<double> net_lsk;            ///< Eq. (1) per net
   std::vector<double> net_noise;          ///< table lookup of net_lsk (V)
   std::unique_ptr<grid::CongestionMap> congestion;

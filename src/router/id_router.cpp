@@ -729,7 +729,7 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
                 weight_from_cache(ehot[gid]), static_cast<std::int32_t>(gid)};
           }
         });
-    heap.build(heap_init);
+    heap.build(std::move(heap_init));
   }
 
   // --------------------------------------------------- shared BFS scratch

@@ -12,6 +12,12 @@ Occupancy::Occupancy(const grid::RegionGrid& grid,
 
   // Count incident edges per (region, dir) for each net, then convert to
   // presence + length.
+  //
+  // This stays a hash map on purpose: its iteration order is the order of
+  // net_refs(n). Refine pass 1 picks the least dense ref with a strict `<`
+  // (the first ref wins ties) and net_length_um sums the refs in that
+  // order, so a sorted or flat-array count would change pass 1's picks and
+  // the floating-point lengths — a behaviour change, not a speed-up.
   std::unordered_map<std::uint64_t, int> incident;  // region*2+dir -> count
   for (std::size_t n = 0; n < routes.size(); ++n) {
     incident.clear();

@@ -373,13 +373,12 @@ SolvePatch patch_solve(
   // every member's Kth and critical-path length. Member S_i and the
   // pairwise sensitivity draws are index-stable under slot preservation,
   // so an unchanged member list implies unchanged values for both. Clean
-  // regions reuse their solved solution verbatim (the solvers are pure
-  // per instance, with per-region seeds keyed on the member list); dirty
-  // regions rebuild and re-solve below.
+  // regions share their solved solution with the old artifact (the
+  // solvers are pure per instance, with per-region seeds keyed on the
+  // member list); dirty regions rebuild and re-solve below.
   const std::size_t regions = p.grid().region_count();
   const std::size_t sol_count = regions * 2;
-  auto solutions =
-      std::make_shared<std::vector<gsino::RegionSolution>>(sol_count);
+  auto solutions = std::make_shared<gsino::RegionSolutions>(*oldart.solutions);
   std::vector<std::size_t> dirty;
   for (std::size_t si = 0; si < sol_count; ++si) {
     const std::size_t r = gsino::sol_region(si);
@@ -396,11 +395,10 @@ SolvePatch patch_solve(
                         new_paths.length_um(n, r, d));
     }
     if (clean) {
-      (*solutions)[si] = (*oldart.solutions)[si];
       if (!news.empty()) ++out.reused;
     } else {
-      (*solutions)[si] =
-          gsino::build_region_solution(p, new_occ, r, d, new_kth, new_paths);
+      solutions->set(si, gsino::build_region_solution(p, new_occ, r, d,
+                                                      new_kth, new_paths));
       dirty.push_back(si);
       if (!news.empty()) ++out.solved;
     }
@@ -430,8 +428,8 @@ SolvePatch patch_solve(
   std::vector<sino::SinoBatchResult> solved =
       sino::solve_batch(items, p.keff(), bopt);
   for (std::size_t k = 0; k < dirty.size(); ++k) {
-    gsino::RegionSolution& sol = (*solutions)[dirty[k]];
-    if (sol.empty()) continue;
+    if ((*solutions)[dirty[k]].empty()) continue;
+    gsino::RegionSolution& sol = solutions->mut(dirty[k]);
     sol.slots = std::move(solved[k].slots);
     sol.ki = std::move(solved[k].ki);
   }

@@ -116,7 +116,7 @@ router::IdRouterOptions read_options(BinaryReader& r) {
 // historical kRegionSolve layout).
 
 void write_region_state(BinaryWriter& w,
-                        const std::vector<gsino::RegionSolution>& solutions,
+                        const gsino::RegionSolutions& solutions,
                         const std::vector<double>& net_lsk,
                         const std::vector<double>& net_noise,
                         const grid::CongestionMap& cmap) {
@@ -157,7 +157,7 @@ void write_region_state(BinaryWriter& w,
 }
 
 struct RegionState {
-  std::shared_ptr<std::vector<gsino::RegionSolution>> solutions;
+  std::shared_ptr<gsino::RegionSolutions> solutions;
   std::shared_ptr<std::vector<double>> net_lsk;
   std::shared_ptr<std::vector<double>> net_noise;
   std::shared_ptr<grid::CongestionMap> congestion;
@@ -167,9 +167,10 @@ bool read_region_state(BinaryReader& r, const gsino::RoutingProblem& problem,
                        RegionState& out) {
   const std::uint64_t sol_count = r.seq_size(/*elem_bytes=*/8);
   if (!r.ok() || sol_count != problem.grid().region_count() * 2) return false;
-  out.solutions = std::make_shared<std::vector<gsino::RegionSolution>>(
+  out.solutions = std::make_shared<gsino::RegionSolutions>(
       static_cast<std::size_t>(sol_count));
-  for (gsino::RegionSolution& sol : *out.solutions) {
+  for (std::size_t si = 0; si < sol_count; ++si) {
+    gsino::RegionSolution sol;
     const std::uint64_t n = r.seq_size(/*elem_bytes=*/20);
     if (!r.ok()) return false;
     std::vector<sino::SinoNet> nets(static_cast<std::size_t>(n));
@@ -199,6 +200,10 @@ bool read_region_state(BinaryReader& r, const gsino::RoutingProblem& problem,
         sol.ki.size() != n) {
       return false;
     }
+    // A computed region without nets has no tracks either; the container
+    // stores such a region as an empty slot.
+    if (n == 0 && !sol.slots.empty()) return false;
+    out.solutions->set(si, std::move(sol));
   }
 
   out.net_lsk = std::make_shared<std::vector<double>>();

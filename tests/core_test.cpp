@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <random>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "core/budget.h"
 #include "core/experiment.h"
@@ -120,6 +124,206 @@ TEST(CriticalPath, EmptyForSingletons) {
   router::RouterNet net;
   net.pins = {{0, 0}};
   EXPECT_TRUE(critical_path(g, net, {}).refs.empty());
+}
+
+/// The hash-map critical_path the flat version replaced, kept verbatim as
+/// the differential oracle: same BFS, same sink pick, same refs.
+CriticalPath reference_critical_path(const grid::RegionGrid& grid,
+                                     const router::RouterNet& net,
+                                     const router::NetRoute& route) {
+  CriticalPath out;
+  if (net.pins.size() < 2 || route.edges.empty()) return out;
+  std::unordered_map<geom::Point, std::vector<std::size_t>> adj;
+  for (std::size_t e = 0; e < route.edges.size(); ++e) {
+    adj[route.edges[e].a].push_back(e);
+    adj[route.edges[e].b].push_back(e);
+  }
+  const geom::Point src = net.pins.front();
+  if (!adj.count(src)) return out;
+  std::unordered_map<geom::Point, std::pair<std::size_t, geom::Point>> parent;
+  std::unordered_map<geom::Point, double> dist;
+  std::vector<geom::Point> queue{src};
+  dist[src] = 0.0;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const geom::Point v = queue[head];
+    for (std::size_t ei : adj[v]) {
+      const router::GridEdge& e = route.edges[ei];
+      const geom::Point other = (e.a == v) ? e.b : e.a;
+      if (dist.count(other)) continue;
+      dist[other] = dist[v] + grid.span_um(e.dir());
+      parent[other] = {ei, v};
+      queue.push_back(other);
+    }
+  }
+  geom::Point best_sink = src;
+  double best_dist = -1.0;
+  for (std::size_t p = 1; p < net.pins.size(); ++p) {
+    const auto it = dist.find(net.pins[p]);
+    if (it != dist.end() && it->second > best_dist) {
+      best_dist = it->second;
+      best_sink = net.pins[p];
+    }
+  }
+  if (best_dist <= 0.0) return out;
+  out.length_um = best_dist;
+  std::unordered_map<std::uint64_t, int> incident;
+  geom::Point v = best_sink;
+  while (!(v == src)) {
+    const auto& [ei, up] = parent.at(v);
+    const router::GridEdge& e = route.edges[ei];
+    const auto d = static_cast<std::uint64_t>(e.dir());
+    incident[grid.index(e.a) * 2 + d] += 1;
+    incident[grid.index(e.b) * 2 + d] += 1;
+    v = up;
+  }
+  for (const auto& [key, count] : incident) {
+    const auto d = static_cast<grid::Dir>(key % 2);
+    out.refs.push_back(router::NetRegionRef{key / 2, d,
+                                            0.5 * grid.span_um(d) * count});
+  }
+  std::sort(out.refs.begin(), out.refs.end(),
+            [](const router::NetRegionRef& a, const router::NetRegionRef& b) {
+              if (a.region != b.region) return a.region < b.region;
+              return static_cast<int>(a.dir) < static_cast<int>(b.dir);
+            });
+  return out;
+}
+
+/// Append the edges of a straight run from `from` to `to` (same row or
+/// column) to `route`.
+void add_run(router::NetRoute& route, geom::Point from, geom::Point to) {
+  while (!(from == to)) {
+    geom::Point next = from;
+    if (from.x != to.x) {
+      next.x += from.x < to.x ? 1 : -1;
+    } else {
+      next.y += from.y < to.y ? 1 : -1;
+    }
+    route.edges.push_back(router::make_edge(from, next));
+    from = next;
+  }
+}
+
+/// Compares the two versions; returns whether the path was non-empty.
+bool expect_same_path(const grid::RegionGrid& g, const router::RouterNet& net,
+                      const router::NetRoute& route, const std::string& what) {
+  const CriticalPath want = reference_critical_path(g, net, route);
+  const CriticalPath got = critical_path(g, net, route);
+  EXPECT_EQ(got.length_um, want.length_um) << what;
+  EXPECT_EQ(got.refs.size(), want.refs.size()) << what;
+  const std::size_t common = std::min(got.refs.size(), want.refs.size());
+  for (std::size_t i = 0; i < common; ++i) {
+    EXPECT_EQ(got.refs[i].region, want.refs[i].region) << what << " ref " << i;
+    EXPECT_EQ(got.refs[i].dir, want.refs[i].dir) << what << " ref " << i;
+    EXPECT_EQ(got.refs[i].length_um, want.refs[i].length_um)
+        << what << " ref " << i;
+  }
+  return !want.refs.empty();
+}
+
+TEST(CriticalPath, FlatVersionMatchesHashMapReference) {
+  grid::RegionGridSpec gs;
+  gs.cols = 24;
+  gs.rows = 18;
+  gs.region_w_um = 37.5;
+  gs.region_h_um = 52.0;
+  const grid::RegionGrid g(gs);
+  std::mt19937_64 rng(0xC0FFEE);
+  auto coord = [&](int hi) {
+    return static_cast<std::int32_t>(
+        std::uniform_int_distribution<int>(0, hi - 1)(rng));
+  };
+  auto random_point = [&] {
+    return geom::Point{coord(gs.cols), coord(gs.rows)};
+  };
+  auto pick = [&](const std::vector<geom::Point>& pts) {
+    return pts[static_cast<std::size_t>(coord(static_cast<int>(pts.size())))];
+  };
+
+  int non_empty = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::string what = "trial " + std::to_string(trial);
+    router::RouterNet net;
+    router::NetRoute route;
+    const int shape = trial % 4;
+    if (shape == 0 || shape == 1) {
+      // Random tree grown from a seed point, plus the odd cycle edge and a
+      // detached component.
+      std::vector<geom::Point> tree{random_point()};
+      std::unordered_set<geom::Point> in_tree{tree.front()};
+      const int steps = 1 + coord(40);
+      for (int k = 0; k < steps; ++k) {
+        const geom::Point from = pick(tree);
+        geom::Point to = from;
+        switch (coord(4)) {
+          case 0: to.x += 1; break;
+          case 1: to.x -= 1; break;
+          case 2: to.y += 1; break;
+          default: to.y -= 1; break;
+        }
+        if (!g.in_bounds(to)) continue;
+        if (in_tree.insert(to).second) {
+          tree.push_back(to);
+          route.edges.push_back(router::make_edge(from, to));
+        } else if (coord(8) == 0) {
+          route.edges.push_back(router::make_edge(from, to));  // a cycle
+        }
+      }
+      if (shape == 1) {
+        const geom::Point a = random_point();
+        add_run(route, a, geom::Point{coord(gs.cols), a.y});
+      }
+      std::shuffle(route.edges.begin(), route.edges.end(), rng);
+      // Source on the tree (or, now and then, off it), sinks mixing tree
+      // points with points the route never touches.
+      net.pins.push_back(coord(10) == 0 ? random_point() : pick(tree));
+      const int sinks = 1 + coord(5);
+      for (int k = 0; k < sinks; ++k) {
+        net.pins.push_back(coord(3) == 0 ? random_point() : pick(tree));
+      }
+    } else {
+      // The L and Z pre-route shapes: two pins joined by one or two bends.
+      const geom::Point a = random_point(), b = random_point();
+      net.pins = {a, b};
+      if (shape == 2) {
+        const geom::Point corner{b.x, a.y};
+        add_run(route, a, corner);
+        add_run(route, corner, b);
+      } else {
+        const std::int32_t mid =
+            std::min(a.x, b.x) + coord(std::abs(a.x - b.x) + 1);
+        add_run(route, a, geom::Point{mid, a.y});
+        add_run(route, geom::Point{mid, a.y}, geom::Point{mid, b.y});
+        add_run(route, geom::Point{mid, b.y}, b);
+      }
+      if (coord(4) == 0) net.pins.push_back(random_point());  // off-route?
+    }
+    non_empty += expect_same_path(g, net, route, what) ? 1 : 0;
+  }
+  EXPECT_GT(non_empty, 200);  // most trials do have a critical path
+}
+
+TEST(CriticalPath, UnreachableSinksAndOffRouteSourceGiveEmptyPaths) {
+  grid::RegionGridSpec gs;
+  gs.cols = 8;
+  gs.rows = 8;
+  gs.region_w_um = 10;
+  gs.region_h_um = 10;
+  const grid::RegionGrid g(gs);
+  router::NetRoute route;
+  add_run(route, {1, 1}, {4, 1});
+  router::RouterNet off_source;
+  off_source.pins = {{6, 6}, {4, 1}};  // source outside the route's box
+  EXPECT_TRUE(critical_path(g, off_source, route).refs.empty());
+  router::RouterNet gap_source;
+  gap_source.pins = {{2, 2}, {4, 1}};  // inside the box, not on the route
+  EXPECT_TRUE(critical_path(g, gap_source, route).refs.empty());
+  router::RouterNet lost_sink;
+  lost_sink.pins = {{1, 1}, {7, 7}};  // sink the route never reaches
+  EXPECT_TRUE(critical_path(g, lost_sink, route).refs.empty());
+  expect_same_path(g, off_source, route, "off source");
+  expect_same_path(g, gap_source, route, "gap source");
+  expect_same_path(g, lost_sink, route, "lost sink");
 }
 
 // ------------------------------------------------------------------ flows

@@ -127,6 +127,56 @@ TEST(Refiner, SolutionsStayFeasibleAfterRefinement) {
   }
 }
 
+// Phase III shares every slot it does not commit. Pass 1 always commits
+// its re-solves; a pass-2 cell ends up re-solved iff one of its picks was
+// accepted, and every acceptance removes a shield while a rejection
+// restores the original object, so a cell only pass 2 picked is shared
+// exactly when its shield count is back where the solve left it.
+TEST(Refiner, SharesEverySlotItDidNotCommit) {
+  const Fixture fx;
+  const RoutingProblem p = fx.problem();
+  FlowSession session(p);
+  const FlowResult serial = session.run(FlowKind::kGsino);
+  const std::shared_ptr<const RegionSolveArtifact> solve = serial.phase2;
+  const RegionSolutions& base = *solve->solutions;
+  FlowState fs = session.state(*solve);
+
+  std::set<std::size_t> pass1, pass2;
+  std::set<std::size_t>* sink = &pass1;
+  fs.observer = [&](const StageEvent& e) { sink->insert(e.region); };
+  const LocalRefiner refiner(p);
+  RefineStats stats;
+  refiner.eliminate_violations(fs, stats);
+  sink = &pass2;
+  refiner.reduce_congestion(fs, stats);
+  fs.refresh_noise();
+  ASSERT_GT(stats.pass1_resolves, 0);
+  ASSERT_GT(stats.pass2_accepted, 0);
+  ASSERT_GT(stats.pass2_rejected, 0);
+
+  const std::shared_ptr<const RefineArtifact> refined = serial.phase3;
+  std::size_t shared = 0, rejected_only = 0;
+  for (std::size_t si = 0; si < base.size(); ++si) {
+    const bool is_shared = fs.solutions.slot(si) == base.slot(si);
+    EXPECT_EQ(refined->solutions->slot(si) == base.slot(si), is_shared)
+        << "slot " << si;
+    if (pass1.count(si)) {
+      EXPECT_FALSE(is_shared) << "pass-1 slot " << si;
+    } else if (pass2.count(si)) {
+      const std::size_t r = sol_region(si);
+      const double before = solve->congestion->shields(r, sol_dir(si));
+      const double after = fs.congestion->shields(r, sol_dir(si));
+      EXPECT_EQ(is_shared, after == before) << "pass-2 slot " << si;
+      rejected_only += is_shared ? 1 : 0;
+    } else {
+      EXPECT_TRUE(is_shared) << "untouched slot " << si;
+    }
+    shared += is_shared ? 1 : 0;
+  }
+  EXPECT_GT(rejected_only, 0u);
+  EXPECT_GT(shared, base.size() / 2);
+}
+
 // ------------------------------------------------- batched pass 2 (Phase
 // III region re-solves through sino::solve_batch)
 

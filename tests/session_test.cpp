@@ -2,14 +2,19 @@
 // invalidation, what-if re-solves that skip Phase I (proven by stage
 // counters and bit-identical to from-scratch runs), cross-flow routing
 // artifact sharing that reproduces the experiment goldens, the batched
-// Phase III region re-solve path, and the stage observer.
+// Phase III region re-solve path, copy-on-write region solutions (no
+// state(), refine, delta or concurrent refine writes into an artifact's),
+// and the stage observer.
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 #include "core/experiment.h"
 #include "core/refine.h"
 #include "core/session.h"
+#include "scenario/delta.h"
+#include "util/hash.h"
 
 #include "golden_util.h"
 
@@ -290,6 +295,190 @@ TEST(Session, BatchedRefineThroughScenario) {
   EXPECT_EQ(fr.violating, 0u);
   ASSERT_NE(fr.phase3, nullptr);
   EXPECT_GE(fr.phase3->stats.batch_sweeps, 0);
+}
+
+// ------------------------------------------ copy-on-write region solutions
+
+/// A solution whose only payload is one net with the given Kth.
+RegionSolution one_net(double kth) {
+  RegionSolution sol;
+  sino::SinoNet net;
+  net.net_id = 0;
+  net.kth = kth;
+  sol.instance = sino::SinoInstance({net});
+  sol.net_index = {0};
+  sol.len_mm = {1.0};
+  sol.path_len_mm = {1.0};
+  sol.slots = {0};
+  sol.ki = {0.0};
+  return sol;
+}
+
+TEST(RegionSolutions, CopySharesEverySlot) {
+  RegionSolutions a(4);
+  a.set(0, one_net(1.0));
+  a.set(2, one_net(2.0));
+  const RegionSolutions b = a;
+  ASSERT_EQ(b.size(), 4u);
+  for (std::size_t si = 0; si < a.size(); ++si) {
+    EXPECT_EQ(a.slot(si), b.slot(si)) << "slot " << si;
+  }
+  EXPECT_EQ(b.slot(1), nullptr);  // empty slots hold no object
+  EXPECT_TRUE(b[1].empty());
+  EXPECT_DOUBLE_EQ(b[2].instance.net(0).kth, 2.0);
+}
+
+TEST(RegionSolutions, MutClonesOnlyASharedSlot) {
+  RegionSolutions a(3);
+  a.set(0, one_net(1.0));
+  a.set(1, one_net(2.0));
+  RegionSolutions b = a;
+  b.mut(1).instance.net(0).kth = 5.0;
+  EXPECT_NE(a.slot(1), b.slot(1));
+  EXPECT_DOUBLE_EQ(a[1].instance.net(0).kth, 2.0);  // the original is intact
+  EXPECT_DOUBLE_EQ(b[1].instance.net(0).kth, 5.0);
+  EXPECT_EQ(a.slot(0), b.slot(0));  // untouched slots stay shared
+}
+
+TEST(RegionSolutions, MutOnAnExclusiveSlotWritesInPlace) {
+  RegionSolutions a(2);
+  a.set(0, one_net(1.0));
+  const RegionSolution* before = a.slot(0).get();
+  a.mut(0).ki[0] = 0.25;
+  EXPECT_EQ(a.slot(0).get(), before);
+  EXPECT_DOUBLE_EQ(a[0].ki[0], 0.25);
+
+  // Once a copy lets go, the survivor is exclusive again.
+  RegionSolutions b = a;
+  b = RegionSolutions();
+  a.mut(0).ki[0] = 0.5;
+  EXPECT_EQ(a.slot(0).get(), before);
+
+  // An empty slot gets a fresh object; set() of an empty solution clears.
+  a.mut(1).net_index = {3};
+  EXPECT_FALSE(a[1].empty());
+  a.set(1, RegionSolution{});
+  EXPECT_EQ(a.slot(1), nullptr);
+}
+
+TEST(RegionSolutions, ResetReinstallsAHeldSlot) {
+  RegionSolutions a(1);
+  a.set(0, one_net(1.0));
+  const RegionSolutions::Slot held = a.slot(0);
+  a.mut(0).instance.net(0).kth = 9.0;  // held -> clones
+  EXPECT_NE(a.slot(0), held);
+  a.reset(0, held);
+  EXPECT_EQ(a.slot(0), held);
+  EXPECT_DOUBLE_EQ(a[0].instance.net(0).kth, 1.0);
+}
+
+TEST(RegionSolutions, ConstIterationVisitsEverySlotInOrder) {
+  RegionSolutions a(3);
+  a.set(1, one_net(7.0));
+  std::vector<bool> empties;
+  for (const RegionSolution& sol : a) empties.push_back(sol.empty());
+  EXPECT_EQ(empties, (std::vector<bool>{true, false, true}));
+  auto it = a.begin();
+  ++it;
+  EXPECT_DOUBLE_EQ(it->instance.net(0).kth, 7.0);
+  EXPECT_EQ(std::distance(a.begin(), a.end()), 3);
+}
+
+/// FNV over every slot's track assignment, Ki and member Kth: moves iff
+/// any solution's content moved.
+std::uint64_t solutions_hash(const RegionSolutions& sols) {
+  util::Fnv1a64 h;
+  for (const RegionSolution& sol : sols) {
+    h.u64(sol.slots.size());
+    for (const ktable::Slot s : sol.slots) h.i32(s);
+    for (const double k : sol.ki) h.f64(k);
+    for (std::size_t i = 0; i < sol.instance.net_count(); ++i) {
+      h.f64(sol.instance.net(i).kth);
+    }
+  }
+  return h.value();
+}
+
+// No path through the session writes into an artifact's solutions: a
+// FlowState mutated directly, refine, and an ECO delta that patches the
+// solve artifact all leave its content hash where it was.
+TEST(Session, ArtifactSolutionsSurviveStateRefineAndDelta) {
+  const Pipeline pipe(0.5, 300);
+  const RoutingProblem p = pipe.problem();
+  FlowSession session(p);
+  const auto phase1 = session.route(FlowKind::kGsino);
+  const auto budget =
+      session.budget(FlowKind::kGsino, phase1, p.params().crosstalk_bound_v,
+                     p.params().budget_margin);
+  const std::shared_ptr<const RegionSolveArtifact> solve =
+      session.solve_regions(FlowKind::kGsino, phase1, budget,
+                            p.params().anneal_phase2);
+  const std::uint64_t h0 = solutions_hash(*solve->solutions);
+
+  FlowState st = session.state(*solve);
+  std::size_t touched = 0;
+  for (std::size_t si = 0; si < st.solutions.size() && touched < 20; ++si) {
+    if (st.solutions[si].empty()) continue;
+    st.solutions.mut(si).instance.net(0).kth *= 0.5;
+    st.resolve_region(si, /*allow_anneal=*/true);
+    ++touched;
+  }
+  ASSERT_EQ(touched, 20u);
+  EXPECT_NE(solutions_hash(st.solutions), h0);
+  EXPECT_EQ(solutions_hash(*solve->solutions), h0);
+
+  (void)session.refine(solve);
+  ASSERT_EQ(session.counters().refine_executed, 1u);
+  EXPECT_EQ(solutions_hash(*solve->solutions), h0);
+
+  const scenario::DeltaReport report =
+      session.apply_delta(scenario::random_delta(p, 5, 4));
+  EXPECT_EQ(solutions_hash(*solve->solutions), h0);
+
+  // The patched artifact (a cache hit now) shares exactly its clean
+  // non-empty slots.
+  const std::shared_ptr<const RegionSolveArtifact> patched =
+      session.run(FlowKind::kGsino).phase2;
+  ASSERT_EQ(session.counters().solve_executed, 1u);
+  ASSERT_NE(patched, solve);
+  std::size_t shared = 0;
+  for (std::size_t si = 0; si < patched->solutions->size(); ++si) {
+    if (!(*patched->solutions)[si].empty() &&
+        patched->solutions->slot(si) == solve->solutions->slot(si)) {
+      ++shared;
+    }
+  }
+  EXPECT_GT(report.regions_reused, 0u);
+  EXPECT_EQ(shared, report.regions_reused);
+}
+
+// Two threads refining from one solve artifact share its slots while each
+// clones what it writes; both must land on the serial result. The
+// sanitizer job runs this under TSan.
+TEST(Session, ConcurrentRefinesOfOneArtifactMatchSerial) {
+  const Pipeline pipe(0.5);
+  const RoutingProblem p = pipe.problem();
+  FlowSession session(p);
+  const FlowResult serial = session.run(FlowKind::kGsino);
+  const std::shared_ptr<const RegionSolveArtifact> solve = serial.phase2;
+
+  std::vector<FlowState> states;
+  states.push_back(session.state(*solve));
+  states.push_back(session.state(*solve));
+  std::vector<std::thread> workers;
+  for (FlowState& st : states) {
+    workers.emplace_back([&p, &st] { LocalRefiner(p).refine(st); });
+  }
+  for (std::thread& t : workers) t.join();
+
+  const RefineArtifact& want = *serial.phase3;
+  for (const FlowState& st : states) {
+    EXPECT_EQ(st.violating, want.violating);
+    EXPECT_EQ(st.net_lsk, *want.net_lsk);
+    EXPECT_EQ(st.net_noise, *want.net_noise);
+    EXPECT_EQ(solutions_hash(st.solutions), solutions_hash(*want.solutions));
+    EXPECT_EQ(st.congestion->total_shields(), want.congestion->total_shields());
+  }
 }
 
 // --------------------------------------------------------------- observer

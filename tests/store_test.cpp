@@ -326,6 +326,40 @@ TEST(StoreSerial, InvalidProfileFieldsAreRejected) {
   EXPECT_EQ(patched(kPrerouteShapeAt + 3, 1), nullptr);  // high byte of u32
 }
 
+// A region with no nets has no tracks: the container stores it as an
+// empty slot, so a record whose net-less region carries slots is one no
+// writer produces, and the decoder rejects it rather than dropping them.
+TEST(StoreSerial, NetlessRegionWithSlotsIsRejected) {
+  const Pipeline pipe(0.3, 100);
+  const RoutingProblem p = pipe.problem();
+  FlowSession session(p);
+  const auto phase1 = session.route(FlowKind::kGsino);
+  const auto budget = session.budget(FlowKind::kGsino, phase1, 0.15, 1.0);
+  RegionSolveArtifact art =
+      *session.solve_regions(FlowKind::kGsino, phase1, budget, false);
+  art.solutions = std::make_shared<const RegionSolutions>(
+      2 * p.grid().region_count());  // every region empty
+  const std::vector<std::uint8_t> bytes = store::save(art);
+  ASSERT_NE(store::load_region_solve(bytes, p, phase1, budget), nullptr);
+
+  // Payload: kind u32, annealed u8, violating u64, seconds f64, then the
+  // solution count u64; the first (empty) solution is its net count
+  // followed by the len_mm, path_len_mm, slot and ki counts (u64 each).
+  constexpr std::size_t kSlotCountAt = 24 + 21 + 8 + 8 + 8 + 8;
+  constexpr std::size_t kPayloadSizeAt = 16;
+  std::vector<std::uint8_t> b = bytes;
+  b.at(kSlotCountAt) = 1;
+  b.insert(b.begin() + kSlotCountAt + 8, 4, 0);  // one slot, value 0
+  std::uint64_t payload = 0;
+  for (int i = 7; i >= 0; --i) payload = (payload << 8) | b.at(kPayloadSizeAt + i);
+  payload += 4;
+  for (int i = 0; i < 8; ++i) {
+    b.at(kPayloadSizeAt + i) = static_cast<std::uint8_t>(payload >> (8 * i));
+  }
+  refresh_checksum(b);
+  EXPECT_EQ(store::load_region_solve(b, p, phase1, budget), nullptr);
+}
+
 // Format v6 dropped two routing-profile fields. A v5 record — the v6
 // profile with the old u8 + u64 pair re-inserted after detour_slack, and
 // the v5 version stamp — loads as a miss, never as a misaligned decode.
