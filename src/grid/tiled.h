@@ -1,9 +1,10 @@
 // Tiled per-region storage: the one layout of every per-(region, dir)
 // container in the flow.
 //
-// CongestionMap's segment/shield counts, the ID router's RegionStats and
-// density/overflow caches, and the occupancy index all keep a flat index
-// space over the whole grid, but an ISPD98-class instance puts tens of
+// CongestionMap's segment/shield counts, the ID router's fused region
+// records (presence statistics plus the density derived from them, one
+// record per region * 2 + dir), and the occupancy index all keep a flat
+// index space over the whole grid, but an ISPD98-class instance puts tens of
 // thousands of regions under a netlist whose traffic touches only the
 // placed core. TiledVec<T> backs the flat index space with fixed-size
 // tiles allocated on first *write*:

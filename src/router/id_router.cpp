@@ -29,10 +29,10 @@ constexpr std::uint8_t kStateMask = 0x3;
 constexpr std::uint8_t kCertifiedBit = 0x4;  ///< never-deletable certificate
 constexpr std::uint8_t kOnCertBit = 0x8;     ///< on the positive cert paths
 
-/// How many deletable() BFS runs a net absorbs before its no-BFS
-/// certificates (frozen flag, bridge pass, pin paths) are refreshed. Purely
-/// a work-scheduling knob: certificates are sound, so the refresh cadence
-/// cannot change routing output, only how many BFS calls are skipped.
+/// How many deletable() BFS runs a net absorbs before its positive pin-path
+/// certificate is refreshed by a no-skip BFS. Purely a work-scheduling
+/// knob: certificates are sound, so the refresh cadence cannot change
+/// routing output, only how many BFS calls are skipped.
 constexpr int kCertifyInterval = 4;
 
 /// Everything the deletion loop's hot paths need about a candidate edge,
@@ -79,16 +79,16 @@ struct NetWork {
   bool prerouted = false;
   bool trivial = false;  ///< < 2 pins or single-region bbox: nothing to route
   /// Pre-routed nets: deduplicated (region * 2 + dir) presence keys in
-  /// first-touch order, recorded by the parallel build and replayed into the
-  /// shared RegionStats by the ordered combiner.
+  /// first-touch order (the fused region-table keys), recorded by the
+  /// parallel build and replayed into the table by the ordered combiner.
   std::vector<std::uint64_t> present_keys;
   int bfs_since_certify = 0;
-  int locks_since_tarjan = 1;  ///< run the first bridge pass unconditionally
   /// Positive certificate: local edge ids forming one certified
   /// source->pin path family, every pin within its detour limit. An edge
   /// off these paths is deletable without BFS — the paths survive its
-  /// removal and keep certifying every pin. Edges change state only when
-  /// popped, so the certificate stays valid until a pop touches it.
+  /// removal and keep certifying every pin. Deletions either avoid these
+  /// paths or adopt new ones, and the first lock freezes the net, so a net
+  /// still in the heap always holds a valid certificate.
   std::vector<std::int32_t> cert_edges;
   std::vector<GridEdge> fixed_edges;  // for pre-routed nets
   /// Region index per bbox vertex (avoids div/mod on the hot paths).
@@ -150,28 +150,38 @@ struct BfsScratch {
   }
 };
 
-/// Shared per-(region, direction) presence statistics (fractional under the
-/// expected-usage model). The three accumulators of one region live in one
-/// record so an update touches a single cache line.
-struct RegionStat {
+/// Everything the router keeps per (region, direction), fused into one
+/// 32-byte record so that a rebalance update plus its stale mark, or an
+/// endpoint read of the weight combine, costs one tile lookup and one
+/// cache line:
+///   - the shared presence statistics (Nns, sum Si, sum Si^2), fractional
+///     under the expected-usage model;
+///   - the Eq. (2) density derived from them (Nns plus the Eq. (3) shield
+///     estimate, over capacity). The overflow term is derived from it at
+///     read time. `dens` holds NaN while the record is stale, i.e. its
+///     statistics changed since the last derivation.
+/// A value-initialized record (all zeros) is a fresh record of an untouched
+/// region: its derivation is exactly {0, 0}, the Eq. (3) estimate of an
+/// empty region being 0.
+struct alignas(32) RegionRecord {
   double nns = 0.0, sum_si = 0.0, sum_si2 = 0.0;
-};
+  double dens = 0.0;
 
-/// Backed by first-touch tiles (grid/tiled.h) so an ISPD98-size grid pays
-/// for the regions nets actually touch, not the whole fabric.
-struct RegionStats {
-  grid::TiledVec<RegionStat> s[2];
-
-  explicit RegionStats(std::size_t regions) {
-    for (int d = 0; d < 2; ++d) s[d].reset(regions);
+  void add(double w, double si) {
+    nns += w;
+    sum_si += w * si;
+    sum_si2 += w * si * si;
   }
-  void add(std::size_t region, int d, double w, double si) {
-    RegionStat& r = s[d].ref(region);
-    r.nns += w;
-    r.sum_si += w * si;
-    r.sum_si2 += w * si * si;
-  }
+  void mark_stale() { dens = std::numeric_limits<double>::quiet_NaN(); }
+  bool stale() const { return std::isnan(dens); }
+  double over() const { return dens > 1.0 ? dens - 1.0 : 0.0; }
 };
+static_assert(sizeof(RegionRecord) == 32);
+
+/// Index of (region, dir) in the fused region table.
+std::size_t region_key(std::size_t region, int d) {
+  return region * 2 + static_cast<std::size_t>(d);
+}
 
 /// Monotone walk between two region points, L- or Z-shaped. The
 /// leading-leg axis is chosen by a deterministic hash of the endpoints so
@@ -225,7 +235,10 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
   result.routes.resize(nets.size());
 
   const std::size_t region_count = grid_->region_count();
-  RegionStats stats(region_count);
+  // The one per-(region, dir) table: shared statistics and the density
+  // derived from them, in first-touch tiles (grid/tiled.h) so an
+  // ISPD98-size grid pays for the regions nets actually touch.
+  grid::TiledVec<RegionRecord> regions(region_count * 2);
   const int threads = parallel::resolve_threads(options_.threads);
 
   // route() is one long function whose phases run back-to-back, so the
@@ -253,7 +266,7 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
   // EdgeHot records — is independent across nets and runs as chunked jobs
   // on the shared pool (src/parallel). Everything order-sensitive stays off
   // the workers: pass A classifies and sizes nets serially, the arenas are
-  // carved serially, and the shared RegionStats accumulation is replayed by
+  // carved serially, and the shared statistics accumulation is replayed by
   // the ordered_reduce combiner in net order — so the per-region
   // floating-point sums (and hence every weight, deletion, and route) are
   // bit-identical at any thread count, including the serial path at 1.
@@ -609,7 +622,7 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
           if (wk.trivial) continue;
           if (wk.prerouted) {
             for (const std::uint64_t key : wk.present_keys) {
-              stats.add(key >> 1, static_cast<int>(key & 1), 1.0, wk.si);
+              regions.ref(key).add(1.0, wk.si);
             }
             continue;
           }
@@ -617,9 +630,11 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
             for (std::int32_t i = 0; i < wk.active_count[d]; ++i) {
               const std::int32_t v =
                   wk.active_vertices[d][static_cast<std::size_t>(i)];
-              stats.add(static_cast<std::size_t>(
-                            wk.region_idx[static_cast<std::size_t>(v)]),
-                        d, wk.weight_applied[d], wk.si);
+              regions
+                  .ref(region_key(static_cast<std::size_t>(
+                                      wk.region_idx[static_cast<std::size_t>(v)]),
+                                  d))
+                  .add(wk.weight_applied[d], wk.si);
             }
           }
         }
@@ -627,93 +642,62 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
 
   // ------------------------------------------------- incremental weights
   //
-  // Eq. (2) terms are served from per-(region, dir) density/overflow caches
-  // derived from the shared RegionStats (incl. the Eq. (3) shield
-  // estimate). A stats change flips a stale flag; the caches refresh
-  // lazily at first read, so each change costs at most one polynomial
-  // evaluation per touched region — instead of the historical four full
-  // density derivations on every heap pop.
+  // Eq. (2) terms are served from the density each region record derives
+  // from its own statistics (incl. the Eq. (3) shield estimate). A stats
+  // change marks the record stale; the density refreshes lazily at first
+  // read, so each change costs at most one polynomial evaluation per
+  // touched region — instead of the historical four full density
+  // derivations on every heap pop.
   const IdWeights& wt = options_.weights;
 
-  // Density and overflow of one (region, dir) share a record: the weight
-  // combine reads both with one load each per endpoint. Tiled like the
-  // stats behind them: an unallocated slot reads as {0, 0}, which is
-  // exactly what refresh_region computes for an untouched region (the
-  // Eq. (3) estimate is exactly 0 for an empty region), so skipping the
-  // warm-up for untouched tiles is value-identical to the dense scan.
-  struct DensCache {
-    double dens = 0.0, over = 0.0;
-  };
-  grid::TiledVec<DensCache> dcache[2];
-  for (int d = 0; d < 2; ++d) dcache[d].reset(region_count);
-  // Every touched (region, dir) is warmed eagerly right after the build
-  // (so the parallel heap-key pass reads the caches without
-  // synchronization); the stale flags only track changes the deletion
-  // loop makes from then on.
-  grid::TiledVec<std::uint8_t> region_stale(region_count * 2);
-
-  auto refresh_region = [&](std::size_t region, int d) {
-    const RegionStat& rs = stats.s[d][region];
-    double hu = rs.nns;
+  auto refresh_region = [&](RegionRecord& r, int d) {
+    double hu = r.nns;
     if (options_.reserve_shields) {
-      hu += nss_->estimate(rs.nns, rs.sum_si, rs.sum_si2);
+      hu += nss_->estimate(r.nns, r.sum_si, r.sum_si2);
     }
-    const double dens = hu / grid_->capacity(static_cast<grid::Dir>(d));
-    dcache[d].ref(region) = DensCache{dens, dens > 1.0 ? dens - 1.0 : 0.0};
+    r.dens = hu / grid_->capacity(static_cast<grid::Dir>(d));
   };
-  auto mark_dirty = [&](std::size_t region, int d) {
-    const std::size_t key = region * 2 + static_cast<std::size_t>(d);
-    region_stale.ref(key) = 1;
-  };
-  auto fresh_region = [&](std::size_t region, int d) {
-    const std::size_t key = region * 2 + static_cast<std::size_t>(d);
-    if (region_stale[key]) {
-      region_stale.ref(key) = 0;
-      refresh_region(region, d);
-    }
+  /// Record of (region, dir) with its density current.
+  auto fresh_region = [&](std::size_t region, int d) -> const RegionRecord& {
+    const std::size_t key = region_key(region, d);
+    const RegionRecord& r = regions[key];
+    // Only a written record can be stale, and its tile is allocated, so
+    // ref() returns this same record.
+    if (r.stale()) refresh_region(regions.ref(key), d);
+    return r;
   };
 
-  // Per-net flags mirror into flat arrays so the pop loop's fast paths
-  // never touch the big NetWork records (EdgeHot itself was filled by the
-  // parallel build above).
-  std::vector<std::uint8_t> net_frozen(works.size(), 0);
-  std::vector<std::uint8_t> net_cert_valid(works.size(), 0);
-
-  // The Eq. (2) combine off already-fresh caches: pure and read-only, so
-  // the parallel initial-key pass can share it race-free; current_weight
-  // adds the lazy refresh the serial deletion loop needs.
-  auto weight_from_cache = [&](const EdgeHot& h) {
-    const int d = h.dir;
-    const DensCache& cu = dcache[d][static_cast<std::size_t>(h.ru)];
-    const DensCache& cv = dcache[d][static_cast<std::size_t>(h.rv)];
+  // The Eq. (2) combine of two endpoint records: pure, so the parallel
+  // initial-key pass can share it race-free over already-fresh records;
+  // current_weight adds the lazy refresh the serial deletion loop needs.
+  auto combine = [&](const EdgeHot& h, const RegionRecord& cu,
+                     const RegionRecord& cv) {
     const double hd = 0.5 * (cu.dens + cv.dens);
-    const double ofr = 0.5 * (cu.over + cv.over);
+    const double ofr = 0.5 * (cu.over() + cv.over());
     return wt.alpha * static_cast<double>(h.fwl) + wt.beta * hd + wt.gamma * ofr;
   };
+  auto weight_from_cache = [&](const EdgeHot& h) {
+    return combine(h, regions[region_key(static_cast<std::size_t>(h.ru), h.dir)],
+                   regions[region_key(static_cast<std::size_t>(h.rv), h.dir)]);
+  };
   auto current_weight = [&](const EdgeHot& h) {
-    const int d = h.dir;
-    fresh_region(static_cast<std::size_t>(h.ru), d);
-    fresh_region(static_cast<std::size_t>(h.rv), d);
-    return weight_from_cache(h);
+    return combine(h, fresh_region(static_cast<std::size_t>(h.ru), h.dir),
+                   fresh_region(static_cast<std::size_t>(h.rv), h.dir));
   };
 
-  // Warm every touched (region, dir) cache once off the final build stats,
-  // then compute the initial heap keys in parallel from the (now
-  // read-only) caches. refresh_region is a pure function of the region's
-  // stats, so eager warming yields exactly the values the historical lazy
-  // first-reads produced; the keys match current_weight() double for
-  // double. Only tiles the stats touched are warmed — every edge endpoint
-  // lies in a net's bounding box and therefore in a touched tile, and an
-  // untouched region's cache reads as the {0, 0} its refresh would compute
-  // anyway.
-  for (int d = 0; d < 2; ++d) {
-    const std::size_t tiles = stats.s[d].tile_count();
-    for (std::size_t t = 0; t < tiles; ++t) {
-      if (!stats.s[d].tile_allocated(t)) continue;
-      const std::size_t end = stats.s[d].tile_end(t);
-      for (std::size_t r = stats.s[d].tile_begin(t); r < end; ++r) {
-        refresh_region(r, d);
-      }
+  // Derive every written record's density once off the final build stats,
+  // then compute the initial heap keys in parallel from the (now read-only)
+  // table. refresh_region is a pure function of the record's stats, so
+  // eager warming yields exactly the values the historical lazy first-reads
+  // produced; the keys match current_weight() double for double. Only
+  // allocated tiles are visited — every edge endpoint lies in a net's
+  // bounding box and therefore in a written tile, and an unallocated
+  // record reads as the {0, 0} its refresh would compute anyway.
+  for (std::size_t t = 0; t < regions.tile_count(); ++t) {
+    if (!regions.tile_allocated(t)) continue;
+    for (std::size_t key = regions.tile_begin(t); key < regions.tile_end(t);
+         ++key) {
+      refresh_region(regions.ref(key), static_cast<int>(key & 1));
     }
   }
 
@@ -786,7 +770,7 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
 
   /// Adopt the source->pin parent paths of the BFS that just certified
   /// every pin (still in scratch) as the net's positive certificate.
-  auto adopt_cert_paths = [&](NetWork& wk, std::size_t n) {
+  auto adopt_cert_paths = [&](NetWork& wk) {
     for (const std::int32_t ei : wk.cert_edges) {
       ehot[wk.gid_base + static_cast<std::size_t>(ei)].meta &=
           static_cast<std::uint8_t>(~kOnCertBit);
@@ -805,7 +789,38 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
         v = (e.u == v) ? e.v : e.u;
       }
     }
-    net_cert_valid[n] = 1;
+  };
+
+  /// Lock the net's whole remainder and erase its heap entries. Called on a
+  /// frozen net: one whose no-skip BFS fails (some pin unreachable or
+  /// over-limit), so every remaining deletability verdict is false however
+  /// its graph shrinks further. Locking has no effect on shared statistics
+  /// or on other nets, and erasing the entries spares the pop loop from
+  /// touching them again. (A mid-heap erase sifts only a level or two,
+  /// where draining an entry through the top would pay the full depth.)
+  auto freeze = [&](NetWork& wk) {
+    for (std::size_t ei = 0; ei < wk.edge_count; ++ei) {
+      LocalEdge& e = wk.edges[ei];
+      if (e.state != kActive) continue;
+      e.state = kLocked;
+      std::uint8_t& meta = ehot[wk.gid_base + ei].meta;
+      meta = static_cast<std::uint8_t>((meta & ~kStateMask) | kLocked);
+      ++result.stats.edges_locked;
+      const auto gid = static_cast<std::int32_t>(wk.gid_base + ei);
+      if (heap.contains(gid)) heap.erase(gid);
+    }
+  };
+
+  /// Certificate refresh: one no-skip BFS that adopts fresh positive pin
+  /// paths, or freezes the net when it fails. Returns false when frozen.
+  auto certify = [&](NetWork& wk) {
+    wk.bfs_since_certify = 0;
+    if (!deletable_bfs(wk, -1)) {
+      freeze(wk);
+      return false;
+    }
+    adopt_cert_paths(wk);
+    return true;
   };
 
   // Iterative-DFS scratch for the bridge pass.
@@ -815,43 +830,11 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
   std::vector<std::int32_t> dfs_stack;
   dfs_stack.reserve(max_vertices);
 
-  /// Certificate refresh: one no-skip BFS to detect a frozen net (some pin
-  /// already unreachable or over-limit — then nothing is ever deletable
-  /// again) and to adopt fresh positive pin paths, then one DFS (Tarjan
-  /// lowlink) marking every bridge with a pin strictly behind it as
-  /// never-deletable. All three certificates are monotone under edge
-  /// removal, so they stay valid as deletion proceeds.
-  auto certify = [&](NetWork& wk, std::size_t n) {
-    wk.bfs_since_certify = 0;
-    if (!deletable_bfs(wk, -1)) {
-      // Frozen: some pin is already unreachable or over-limit with no edge
-      // skipped, so every remaining deletability verdict of this net is
-      // false regardless of how its graph shrinks further. Lock the whole
-      // remainder now — locking has no effect on shared statistics or on
-      // other nets — and erase the entries so the pop loop never touches
-      // them again.
-      net_frozen[n] = 1;
-      net_cert_valid[n] = 0;
-      for (std::size_t ei = 0; ei < wk.edge_count; ++ei) {
-        LocalEdge& e = wk.edges[ei];
-        if (e.state != kActive) continue;
-        e.state = kLocked;
-        std::uint8_t& meta = ehot[wk.gid_base + ei].meta;
-        meta = static_cast<std::uint8_t>((meta & ~kStateMask) | kLocked);
-        ++result.stats.edges_locked;
-        // Remove the heap entry in place: a mid-heap erase sifts only a
-        // level or two, where draining it later through the top would pay
-        // the full tree depth.
-        const auto gid = static_cast<std::int32_t>(wk.gid_base + ei);
-        if (heap.contains(gid)) heap.erase(gid);
-      }
-      return;
-    }
-    adopt_cert_paths(wk, n);
-    // The bridge pass only pays off where locks happen (bridges are what
-    // refuses deletion); skip it while the net is still deleting freely.
-    if (wk.locks_since_tarjan == 0) return;
-    wk.locks_since_tarjan = 0;
+  /// One DFS (Tarjan lowlink) marking every bridge with a pin strictly
+  /// behind it as never-deletable. Removals only add bridges, so the marks
+  /// stay sound for the rest of the loop; and since a net's first lock
+  /// freezes it, the one pass before deletion starts is all a net needs.
+  auto mark_bridges = [&](NetWork& wk) {
     ++bfs.epoch;
     std::int32_t timer = 0;
     dfs_stack.clear();
@@ -908,8 +891,8 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
   // Seed every net's certificates once: degenerate (1-wide) bounding boxes
   // are all bridges and never pay a single deletability BFS, and the
   // initial pin paths let off-path edges delete without one either.
-  for (std::size_t n = 0; n < works.size(); ++n) {
-    if (!works[n].prerouted) certify(works[n], n);
+  for (NetWork& wk : works) {
+    if (!wk.prerouted && certify(wk)) mark_bridges(wk);
   }
 
   // ------------------------------------------------------------- deletion
@@ -923,6 +906,11 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
   // recomputation, and without the old `max_reinserts_per_edge` safety cap
   // (termination is structural: a re-key needs a strict weight drop, which
   // needs an intervening deletion, and deletions are finite).
+  //
+  // A pop's verdict is exact: delete iff the bounded BFS without the edge
+  // certifies every pin. The certificates only skip that BFS. A lock
+  // freezes the net (the lemma in id_router.h), so every popped edge
+  // belongs to an unfrozen net holding a valid positive certificate.
   phase_span.emplace("router.deletion", "router");
   phase_span->arg("candidates", static_cast<double>(heap.size()));
   while (!heap.empty()) {
@@ -938,55 +926,29 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
     }
     heap.pop();
 
-    const std::size_t n = static_cast<std::size_t>(gid_net[ugid]);
-    // Certificate verdict: 0 = lock (negative certificate, no BFS),
-    // 1 = delete (positive certificate: the certified pin paths survive
-    // this edge's removal), -1 = no certificate applies.
-    auto cert_verdict = [&]() -> int {
-      if (net_frozen[n] || (h.meta & kCertifiedBit)) {
-        // Locking removes this edge from the active pool; a positive
-        // certificate whose paths ran through it is no longer sound.
-        if (h.meta & kOnCertBit) net_cert_valid[n] = 0;
-        return 0;
-      }
-      if (net_cert_valid[n] && !(h.meta & kOnCertBit)) return 1;
-      return -1;
-    };
-    int verdict = cert_verdict();
-    if (verdict < 0) {
-      NetWork& wk = works[n];
-      if (wk.bfs_since_certify >= kCertifyInterval) {
-        certify(wk, n);
-        verdict = cert_verdict();  // the refresh may have decided it
-      }
-      if (verdict < 0) {
+    NetWork& wk = works[static_cast<std::size_t>(gid_net[ugid])];
+    const auto local = static_cast<std::int32_t>(ugid - wk.gid_base);
+    // Certificates first: a marked bridge with a pin behind it is a lock,
+    // an edge off the certified pin paths a deletion. An edge on the paths
+    // needs the BFS, unless a refresh of stale paths moves them off it.
+    bool ok = !(h.meta & kCertifiedBit);
+    if (ok && (h.meta & kOnCertBit)) {
+      // (A refresh that found the net frozen would have locked this edge
+      // with the rest.)
+      if (wk.bfs_since_certify >= kCertifyInterval && !certify(wk)) continue;
+      if (h.meta & kOnCertBit) {
         ++wk.bfs_since_certify;
-        const bool bfs_ok =
-            deletable_bfs(wk, static_cast<std::int32_t>(ugid - wk.gid_base));
-        if (bfs_ok) {
-          adopt_cert_paths(wk, n);  // excludes this edge
-        }
-        if (!bfs_ok && (h.meta & kOnCertBit)) {
-          net_cert_valid[n] = 0;  // locking breaks the certified paths
-        }
-        verdict = bfs_ok ? 1 : 0;
+        ok = deletable_bfs(wk, local);
+        if (ok) adopt_cert_paths(wk);  // excludes this edge
       }
     }
-    const bool ok = verdict == 1;
-
-    NetWork& wk = works[n];
-    LocalEdge& e = wk.edges[ugid - wk.gid_base];
     if (!ok) {
-      if (e.state == kActive) {  // may already be bulk-locked by a freeze
-        e.state = kLocked;  // a pin-bridge (or guard-essential edge) stays
-        h.meta = static_cast<std::uint8_t>((h.meta & ~kStateMask) | kLocked);
-        ++result.stats.edges_locked;
-        ++wk.locks_since_tarjan;
-      }
+      freeze(wk);  // locks this edge and the net's whole remainder
       continue;
     }
 
     // Delete the edge and update presence statistics incrementally.
+    LocalEdge& e = wk.edges[static_cast<std::size_t>(local)];
     e.state = kDeleted;
     h.meta = static_cast<std::uint8_t>((h.meta & ~kStateMask) | kDeleted);
     ++result.stats.edges_deleted;
@@ -996,10 +958,11 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
       auto& cnt = wk.incident[static_cast<std::size_t>(v)][d];
       --cnt;
       if (cnt == 0) {
-        const auto region = static_cast<std::size_t>(
-            wk.region_idx[static_cast<std::size_t>(v)]);
-        stats.add(region, d, -wk.weight_applied[d], wk.si);
-        mark_dirty(region, d);
+        RegionRecord& r = regions.ref(region_key(
+            static_cast<std::size_t>(wk.region_idx[static_cast<std::size_t>(v)]),
+            d));
+        r.add(-wk.weight_applied[d], wk.si);
+        r.mark_stale();
         wk.drop_active_vertex(d, v);
         --wk.active_regions[d];
         lost_region = true;
@@ -1014,10 +977,11 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
         for (std::int32_t i = 0; i < wk.active_count[d]; ++i) {
           const std::int32_t v =
               wk.active_vertices[d][static_cast<std::size_t>(i)];
-          const auto region = static_cast<std::size_t>(
-              wk.region_idx[static_cast<std::size_t>(v)]);
-          stats.add(region, d, delta, wk.si);
-          mark_dirty(region, d);
+          RegionRecord& r = regions.ref(region_key(
+              static_cast<std::size_t>(wk.region_idx[static_cast<std::size_t>(v)]),
+              d));
+          r.add(delta, wk.si);
+          r.mark_stale();
         }
         wk.weight_applied[d] = target;
       }

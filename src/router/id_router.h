@@ -28,31 +28,45 @@
 //     processing order of the historical lazy-revalidation
 //     std::priority_queue (which held one live entry per edge), without
 //     duplicate-entry churn or a reinsert cap;
-//   - per-(region, dir) density/overflow caches with stale flags: a stats
-//     change marks the touched regions, the Eq. (2)/(3) derivation reruns
-//     once per touched region at its next read, and a pop re-weighs its
-//     edge from two cached records instead of four from-scratch density
-//     derivations. (An eager region->edge inverted re-weigh index was
-//     measured first and lost: rebalances touch O(net) regions each, so
-//     propagating every change to every touching edge costs far more than
-//     re-weighing the one popped edge on demand.) The shared RegionStats
-//     and these caches live in first-touch tiled storage (grid/tiled.h):
-//     ISPD98-size grids allocate and warm only the tiles traffic touches;
+//   - one fused record per (region, dir) in first-touch tiled storage
+//     (grid/tiled.h): the shared presence statistics (Nns, sum Si,
+//     sum Si^2) next to the Eq. (2) density derived from them, NaN while
+//     stale. A stats change marks its record stale, the Eq. (2)/(3)
+//     derivation reruns once per touched record at its next read, and a
+//     pop re-weighs its edge from two records instead of four
+//     from-scratch density derivations. A rebalance update with its stale
+//     mark, and an endpoint read, each cost one tile lookup and one cache
+//     line. ISPD98-size grids allocate and warm only the tiles traffic
+//     touches. (An eager region->edge inverted re-weigh index was measured
+//     first and lost: rebalances touch O(net) regions each, so propagating
+//     every change to every touching edge costs far more than re-weighing
+//     the one popped edge on demand);
 //   - deletability checks are early-exit bounded BFS (stop once every pin
 //     is certified within its detour limit, or as soon as certification is
-//     impossible), and most pops skip BFS entirely via three monotone
+//     impossible), and most pops skip BFS entirely via two monotone
 //     certificates: an edge off the last certified source->pin path family
-//     is deletable (the paths survive its removal); a bridge with a pin
-//     behind it is never deletable; and a net whose pins already fail with
-//     no edge skipped is frozen — its whole remainder bulk-locks at once.
-//     Edge removal can only shrink the graph, so certificates stay valid
-//     until a pop touches them;
+//     is deletable (the paths survive its removal), and a bridge with a
+//     pin behind it is never deletable. Edge removal can only shrink the
+//     graph, so certificates stay valid until a pop touches them;
+//   - a net freezes at its first lock. Lemma: a net is frozen (its no-skip
+//     BFS fails, so no edge of it is deletable ever again) exactly when it
+//     has had a lock. Deletions keep every pin certified: an edge is
+//     deleted only when the BFS without it certifies every pin. A lock
+//     makes its edge inactive to the BFS, and it happens only when the BFS
+//     without that edge fails (or the edge is a bridge with a pin behind
+//     it), so from then on the no-skip BFS fails, and removals only
+//     lengthen paths. The lock therefore bulk-locks the net's whole
+//     remainder and erases its heap entries at once. Locks never touch the
+//     shared statistics and the heap order is a total (key, id) order, so
+//     no other net's pop sequence changes. A net whose pins fail before
+//     any deletion (a detour factor below 1, say) freezes at the initial
+//     certification;
 //   - demand rebalancing walks maintained per-direction active-vertex
 //     lists instead of rescanning the whole bounding box, and per-net
 //     arrays are carved from shared arenas (three allocations total);
 //   - the build phase (per-net graph + CSR + f(WL) + initial heap keys) is
 //     chunk-parallel on the shared pool (src/parallel): workers fill
-//     disjoint arena slices, the shared RegionStats accumulation is
+//     disjoint arena slices, the shared statistics accumulation is
 //     replayed serially in net order by the ordered reducer, and the
 //     pre-route dedup uses per-worker epoch-stamped scratch. Results are
 //     bit-identical at any `threads` value (see IdRouterOptions::threads);

@@ -1,6 +1,8 @@
 #include "rsmt/rmst.h"
 
+#include <algorithm>
 #include <limits>
+#include <utility>
 #include <vector>
 
 namespace rlcr::rsmt {
@@ -46,6 +48,46 @@ Tree rmst(std::span<const geom::Point> pins) {
 
 std::int64_t rmst_length(std::span<const geom::Point> pins) {
   return rmst(pins).length();
+}
+
+MstInsertion::MstInsertion(std::span<const geom::Point> pts) {
+  Tree t = rmst(pts);
+  nodes_ = std::move(t.nodes);
+  edges_ = std::move(t.edges);
+  weight_.reserve(edges_.size());
+  for (const auto& [p, v] : edges_) {
+    weight_.push_back(geom::manhattan(nodes_[static_cast<std::size_t>(p)],
+                                      nodes_[static_cast<std::size_t>(v)]));
+    length_ += weight_.back();
+  }
+  link_.resize(nodes_.size());
+}
+
+std::int64_t MstInsertion::length_with(geom::Point c) {
+  // link_[v]: the heaviest edge still droppable on v's one path to c
+  // through its processed subtree; a leaf's path is its star edge.
+  std::int64_t star = 0;
+  for (std::size_t v = 0; v < nodes_.size(); ++v) {
+    link_[v] = geom::manhattan(c, nodes_[v]);
+    star += link_[v];
+  }
+  // Reversed Prim order is children-first, so link_[v] is final when v's
+  // parent edge comes up. The edge closes the cycle p -> v -> ... -> c ->
+  // p: drop its heaviest edge, p's own link or the v-side maximum k, and
+  // keep the lighter one as p's link.
+  std::int64_t dropped = 0;
+  for (std::size_t i = edges_.size(); i-- > 0;) {
+    const auto p = static_cast<std::size_t>(edges_[i].first);
+    const auto v = static_cast<std::size_t>(edges_[i].second);
+    const std::int64_t k = std::max(link_[v], weight_[i]);
+    if (k < link_[p]) {
+      dropped += link_[p];
+      link_[p] = k;
+    } else {
+      dropped += k;
+    }
+  }
+  return length_ + star - dropped;
 }
 
 }  // namespace rlcr::rsmt

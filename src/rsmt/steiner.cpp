@@ -1,54 +1,11 @@
 #include "rsmt/steiner.h"
 
 #include <algorithm>
-#include <limits>
 #include <vector>
 
 #include "rsmt/rmst.h"
 
 namespace rlcr::rsmt {
-
-namespace {
-
-/// Prim's working arrays, reused across every mst_length call of one
-/// rsmt() so the Hanan-candidate loop allocates nothing.
-struct PrimScratch {
-  std::vector<std::int64_t> best;
-  std::vector<char> used;
-};
-
-/// MST length over an explicit point set (Prim, O(n^2)).
-std::int64_t mst_length(const std::vector<geom::Point>& pts,
-                        PrimScratch& scratch) {
-  const std::size_t n = pts.size();
-  if (n < 2) return 0;
-  constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max();
-  std::vector<std::int64_t>& best = scratch.best;
-  std::vector<char>& used = scratch.used;
-  best.assign(n, kInf);
-  used.assign(n, 0);
-  best[0] = 0;
-  std::int64_t total = 0;
-  for (std::size_t iter = 0; iter < n; ++iter) {
-    std::size_t u = n;
-    std::int64_t u_cost = kInf;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!used[i] && best[i] < u_cost) {
-        u = i;
-        u_cost = best[i];
-      }
-    }
-    used[u] = 1;
-    total += (u_cost == kInf ? 0 : u_cost);
-    for (std::size_t v = 0; v < n; ++v) {
-      if (used[v]) continue;
-      best[v] = std::min(best[v], geom::manhattan(pts[u], pts[v]));
-    }
-  }
-  return total;
-}
-
-}  // namespace
 
 Tree rsmt(std::span<const geom::Point> pins, const SteinerOptions& options) {
   if (pins.size() <= 2 || pins.size() > options.max_pins_exact) {
@@ -57,8 +14,6 @@ Tree rsmt(std::span<const geom::Point> pins, const SteinerOptions& options) {
 
   std::vector<geom::Point> pts(pins.begin(), pins.end());
   const std::size_t pin_count = pts.size();
-  PrimScratch scratch;
-  std::int64_t current = mst_length(pts, scratch);
 
   for (std::size_t round = 0; round < options.max_steiner_points; ++round) {
     // Hanan candidates: cross products of existing x and y coordinates.
@@ -74,25 +29,19 @@ Tree rsmt(std::span<const geom::Point> pins, const SteinerOptions& options) {
     std::sort(ys.begin(), ys.end());
     ys.erase(std::unique(ys.begin(), ys.end()), ys.end());
 
-    std::int64_t best_len = current;
+    // One MST per round; each candidate's MST length is an O(n) vertex
+    // insertion into it instead of a full O(n^2) Prim run. Lengths are
+    // exact, so the candidate order and strict `<` pick the same points.
+    MstInsertion mst(pts);
+    std::int64_t best_len = mst.length();
     geom::Point best_pt{};
     bool found = false;
 
-    std::vector<geom::Point> trial = pts;
-    trial.push_back({});
     for (std::int32_t x : xs) {
       for (std::int32_t y : ys) {
         const geom::Point cand{x, y};
-        bool duplicate = false;
-        for (const auto& p : pts) {
-          if (p == cand) {
-            duplicate = true;
-            break;
-          }
-        }
-        if (duplicate) continue;
-        trial.back() = cand;
-        const std::int64_t len = mst_length(trial, scratch);
+        if (std::find(pts.begin(), pts.end(), cand) != pts.end()) continue;
+        const std::int64_t len = mst.length_with(cand);
         if (len < best_len) {
           best_len = len;
           best_pt = cand;
@@ -102,7 +51,6 @@ Tree rsmt(std::span<const geom::Point> pins, const SteinerOptions& options) {
     }
     if (!found) break;
     pts.push_back(best_pt);
-    current = best_len;
   }
 
   // Materialize the MST over pins + chosen Steiner points, then prune

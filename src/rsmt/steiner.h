@@ -12,7 +12,7 @@ namespace rlcr::rsmt {
 
 struct SteinerOptions {
   /// Nets with more pins than this skip the 1-Steiner iteration and return
-  /// the plain RMST (the iteration is O(n^4) in the worst case).
+  /// the plain RMST (each round scores O(n^2) candidates at O(n) each).
   std::size_t max_pins_exact = 16;
   /// Upper bound on Steiner points added (defensive; rarely reached).
   std::size_t max_steiner_points = 32;

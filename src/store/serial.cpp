@@ -115,35 +115,37 @@ router::IdRouterOptions read_options(BinaryReader& r) {
 // the congestion map — so one codec serves both (byte-identical to the
 // historical kRegionSolve layout).
 
+void write_solution(BinaryWriter& w, const gsino::RegionSolution& sol) {
+  const std::size_t n = sol.net_index.size();
+  w.u64(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const sino::SinoNet& sn = sol.instance.net(i);
+    w.i32(sn.net_id);
+    w.f64(sn.si);
+    w.f64(sn.kth);
+  }
+  // Strict upper triangle only: the matrix is symmetric with an empty
+  // diagonal, and set_sensitive mirrors on load.
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      w.u8(sol.instance.sensitive(i, j) ? 1 : 0);
+    }
+  }
+  for (const std::size_t g : sol.net_index) w.u64(g);
+  w.f64_vec(sol.len_mm);
+  w.f64_vec(sol.path_len_mm);
+  w.u64(sol.slots.size());
+  for (const ktable::Slot s : sol.slots) w.i32(s);
+  w.f64_vec(sol.ki);
+}
+
 void write_region_state(BinaryWriter& w,
                         const gsino::RegionSolutions& solutions,
                         const std::vector<double>& net_lsk,
                         const std::vector<double>& net_noise,
                         const grid::CongestionMap& cmap) {
   w.u64(solutions.size());
-  for (const gsino::RegionSolution& sol : solutions) {
-    const std::size_t n = sol.net_index.size();
-    w.u64(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const sino::SinoNet& sn = sol.instance.net(i);
-      w.i32(sn.net_id);
-      w.f64(sn.si);
-      w.f64(sn.kth);
-    }
-    // Strict upper triangle only: the matrix is symmetric with an empty
-    // diagonal, and set_sensitive mirrors on load.
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        w.u8(sol.instance.sensitive(i, j) ? 1 : 0);
-      }
-    }
-    for (const std::size_t g : sol.net_index) w.u64(g);
-    w.f64_vec(sol.len_mm);
-    w.f64_vec(sol.path_len_mm);
-    w.u64(sol.slots.size());
-    for (const ktable::Slot s : sol.slots) w.i32(s);
-    w.f64_vec(sol.ki);
-  }
+  for (const gsino::RegionSolution& sol : solutions) write_solution(w, sol);
 
   w.f64_vec(net_lsk);
   w.f64_vec(net_noise);
@@ -163,13 +165,26 @@ struct RegionState {
   std::shared_ptr<grid::CongestionMap> congestion;
 };
 
+/// Decode the region state. A slot whose record bytes equal the encoding
+/// of `base`'s non-empty slot (every double bit for bit) re-attaches that
+/// slot instead of decoding a copy, so a loaded artifact shares what it did
+/// not change with its base exactly as the computed one does.
 bool read_region_state(BinaryReader& r, const gsino::RoutingProblem& problem,
-                       RegionState& out) {
+                       const gsino::RegionSolutions* base, RegionState& out) {
   const std::uint64_t sol_count = r.seq_size(/*elem_bytes=*/8);
   if (!r.ok() || sol_count != problem.grid().region_count() * 2) return false;
+  if (base != nullptr && base->size() != sol_count) base = nullptr;
   out.solutions = std::make_shared<gsino::RegionSolutions>(
       static_cast<std::size_t>(sol_count));
   for (std::size_t si = 0; si < sol_count; ++si) {
+    if (base != nullptr && base->slot(si) != nullptr) {
+      BinaryWriter encoded;
+      write_solution(encoded, *base->slot(si));
+      if (r.skip_if_next(encoded.take())) {
+        out.solutions->reset(si, base->slot(si));
+        continue;
+      }
+    }
     gsino::RegionSolution sol;
     const std::uint64_t n = r.seq_size(/*elem_bytes=*/20);
     if (!r.ok()) return false;
@@ -397,7 +412,9 @@ std::shared_ptr<const gsino::RegionSolveArtifact> load_region_solve(
   art->seconds = r.f64();
 
   RegionState state;
-  if (!read_region_state(r, problem, state) || !r.at_end()) return nullptr;
+  if (!read_region_state(r, problem, nullptr, state) || !r.at_end()) {
+    return nullptr;
+  }
 
   art->phase1 = std::move(phase1);
   art->budget = std::move(budget);
@@ -436,7 +453,11 @@ std::shared_ptr<const gsino::RefineArtifact> load_refine(
   art->seconds = r.f64();
 
   RegionState state;
-  if (!read_region_state(r, problem, state) || !r.at_end()) return nullptr;
+  const gsino::RegionSolutions* base_solutions =
+      base != nullptr ? base->solutions.get() : nullptr;
+  if (!read_region_state(r, problem, base_solutions, state) || !r.at_end()) {
+    return nullptr;
+  }
 
   art->base = std::move(base);
   art->solutions = std::move(state.solutions);

@@ -92,7 +92,10 @@ std::shared_ptr<const gsino::RegionSolveArtifact> load_region_solve(
     std::shared_ptr<const gsino::BudgetArtifact> budget);
 
 /// Like load_region_solve, the refine artifact's base (solve) input is
-/// identity: the caller re-attaches it. A record whose embedded
+/// identity: the caller re-attaches it. Every region solution whose record
+/// bytes equal the base's re-attaches the base's slot, so the loaded
+/// artifact shares its unchanged slots with the base as a computed one
+/// does (the record format is unchanged). A record whose embedded
 /// batch_pass2 flag differs from `batch_pass2` loads as null — it belongs
 /// to the other Phase III configuration.
 std::shared_ptr<const gsino::RefineArtifact> load_refine(

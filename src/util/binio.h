@@ -102,6 +102,17 @@ class BinaryReader {
     return true;
   }
 
+  /// Consume `bytes` when the unread input starts with exactly them;
+  /// otherwise consume nothing and return false.
+  bool skip_if_next(const std::vector<std::uint8_t>& bytes) {
+    if (!ok_ || bytes.size() > size_ - std::min(pos_, size_) ||
+        !std::equal(bytes.begin(), bytes.end(), data_ + pos_)) {
+      return false;
+    }
+    pos_ += bytes.size();
+    return true;
+  }
+
   bool ok() const { return ok_; }
   bool at_end() const { return ok_ && pos_ == size_; }
   /// Marks the input malformed, as an underrun would: for decoders that

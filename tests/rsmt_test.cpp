@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "rsmt/rmst.h"
@@ -152,6 +154,200 @@ TEST_P(SteinerDegreeSweep, ValidTreesAtEveryDegree) {
 
 INSTANTIATE_TEST_SUITE_P(Degrees, SteinerDegreeSweep,
                          ::testing::Values(2, 3, 4, 5, 8, 12, 16, 24, 40));
+
+// ------------------------------------------------ vertex-insertion oracle
+//
+// The 1-Steiner loop evaluates each Hanan candidate by MST vertex insertion.
+// The oracle below is the per-candidate Prim loop it replaced, kept here
+// verbatim in behaviour: one full O(n^2) Prim run per candidate, the same
+// candidate order and strict `<`, then the same RMST, leaf pruning and
+// reindexing. rsmt() must reproduce its nodes and edges exactly.
+
+std::int64_t prim_length(const std::vector<Point>& pts) {
+  const std::size_t n = pts.size();
+  if (n < 2) return 0;
+  constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max();
+  std::vector<std::int64_t> best(n, kInf);
+  std::vector<char> used(n, 0);
+  best[0] = 0;
+  std::int64_t total = 0;
+  for (std::size_t iter = 0; iter < n; ++iter) {
+    std::size_t u = n;
+    std::int64_t u_cost = kInf;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!used[i] && best[i] < u_cost) {
+        u = i;
+        u_cost = best[i];
+      }
+    }
+    used[u] = 1;
+    total += (u_cost == kInf ? 0 : u_cost);
+    for (std::size_t v = 0; v < n; ++v) {
+      if (used[v]) continue;
+      best[v] = std::min(best[v], geom::manhattan(pts[u], pts[v]));
+    }
+  }
+  return total;
+}
+
+std::vector<std::int32_t> sorted_unique(std::vector<std::int32_t> v) {
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+  return v;
+}
+
+Tree prim_per_candidate_rsmt(const std::vector<Point>& pins,
+                             const SteinerOptions& options = {}) {
+  if (pins.size() <= 2 || pins.size() > options.max_pins_exact) {
+    return rmst(pins);
+  }
+  std::vector<Point> pts = pins;
+  const std::size_t pin_count = pts.size();
+  std::int64_t current = prim_length(pts);
+  for (std::size_t round = 0; round < options.max_steiner_points; ++round) {
+    std::vector<std::int32_t> xs, ys;
+    for (const auto& p : pts) {
+      xs.push_back(p.x);
+      ys.push_back(p.y);
+    }
+    xs = sorted_unique(std::move(xs));
+    ys = sorted_unique(std::move(ys));
+    std::int64_t best_len = current;
+    Point best_pt{};
+    bool found = false;
+    std::vector<Point> trial = pts;
+    trial.push_back({});
+    for (std::int32_t x : xs) {
+      for (std::int32_t y : ys) {
+        const Point cand{x, y};
+        if (std::find(pts.begin(), pts.end(), cand) != pts.end()) continue;
+        trial.back() = cand;
+        const std::int64_t len = prim_length(trial);
+        if (len < best_len) {
+          best_len = len;
+          best_pt = cand;
+          found = true;
+        }
+      }
+    }
+    if (!found) break;
+    pts.push_back(best_pt);
+    current = best_len;
+  }
+
+  Tree t = rmst(pts);
+  t.pin_count = pin_count;
+  bool pruned = true;
+  while (pruned) {
+    pruned = false;
+    std::vector<int> degree(t.nodes.size(), 0);
+    for (const auto& [a, b] : t.edges) {
+      ++degree[static_cast<std::size_t>(a)];
+      ++degree[static_cast<std::size_t>(b)];
+    }
+    for (std::size_t v = pin_count; v < t.nodes.size(); ++v) {
+      if (degree[v] == 1) {
+        auto it = std::find_if(t.edges.begin(), t.edges.end(), [&](const auto& e) {
+          return static_cast<std::size_t>(e.first) == v ||
+                 static_cast<std::size_t>(e.second) == v;
+        });
+        if (it != t.edges.end()) {
+          t.edges.erase(it);
+          pruned = true;
+        }
+      }
+    }
+  }
+  std::vector<int> degree(t.nodes.size(), 0);
+  for (const auto& [a, b] : t.edges) {
+    ++degree[static_cast<std::size_t>(a)];
+    ++degree[static_cast<std::size_t>(b)];
+  }
+  std::vector<std::int32_t> remap(t.nodes.size(), -1);
+  Tree out;
+  out.pin_count = pin_count;
+  for (std::size_t v = 0; v < t.nodes.size(); ++v) {
+    if (v < pin_count || degree[v] > 0) {
+      remap[v] = static_cast<std::int32_t>(out.nodes.size());
+      out.nodes.push_back(t.nodes[v]);
+    }
+  }
+  for (const auto& [a, b] : t.edges) {
+    out.edges.emplace_back(remap[static_cast<std::size_t>(a)],
+                           remap[static_cast<std::size_t>(b)]);
+  }
+  return out;
+}
+
+/// Seeded pin set of 3-16 pins from one of six shapes: a small box (many
+/// duplicate coordinates), ibm06-range coordinates (320 x 224 regions), a
+/// horizontal or vertical line, a 1- or 2-wide column, and a cluster with
+/// an exact duplicate pin.
+std::vector<Point> differential_pins(util::Xoshiro256& rng, int shape) {
+  const auto n = static_cast<int>(3 + rng.below(14));
+  auto coord = [&](std::uint64_t span) {
+    return static_cast<std::int32_t>(rng.below(span));
+  };
+  const std::int32_t ox = coord(300), oy = coord(200);
+  std::vector<Point> pins;
+  for (int i = 0; i < n; ++i) {
+    switch (shape) {
+      case 0: pins.push_back({coord(5), coord(5)}); break;
+      case 1: pins.push_back({coord(320), coord(224)}); break;
+      case 2: pins.push_back({ox + coord(20), oy}); break;
+      case 3: pins.push_back({ox, oy + coord(24)}); break;
+      case 4: pins.push_back({ox + coord(2), oy + coord(24)}); break;
+      default: pins.push_back({ox + coord(12), oy + coord(12)}); break;
+    }
+  }
+  if (shape == 5) pins.back() = pins[rng.below(pins.size() - 1)];
+  return pins;
+}
+
+TEST(SteinerDifferential, MatchesPrimPerCandidateLoop) {
+  util::Xoshiro256 rng(0x5eed1);
+  for (int iter = 0; iter < 2400; ++iter) {
+    const std::vector<Point> pins = differential_pins(rng, iter % 6);
+    const Tree want = prim_per_candidate_rsmt(pins);
+    const Tree got = rsmt(pins);
+    ASSERT_EQ(got.pin_count, want.pin_count) << "iter " << iter;
+    ASSERT_EQ(got.nodes, want.nodes) << "iter " << iter;
+    ASSERT_EQ(got.edges, want.edges) << "iter " << iter;
+  }
+}
+
+TEST(MstInsertion, EqualsPrimOnEveryHananCandidate) {
+  util::Xoshiro256 rng(0x1a5e7);
+  for (int iter = 0; iter < 300; ++iter) {
+    const std::vector<Point> pts = differential_pins(rng, iter % 6);
+    MstInsertion mst(pts);
+    ASSERT_EQ(mst.length(), prim_length(pts)) << "iter " << iter;
+    std::vector<std::int32_t> xs, ys;
+    for (const Point& p : pts) {
+      xs.push_back(p.x);
+      ys.push_back(p.y);
+    }
+    // Every candidate, existing points included (they insert at 0 cost).
+    for (std::int32_t x : sorted_unique(xs)) {
+      for (std::int32_t y : sorted_unique(ys)) {
+        std::vector<Point> with = pts;
+        with.push_back({x, y});
+        ASSERT_EQ(mst.length_with({x, y}), prim_length(with))
+            << "iter " << iter << " candidate (" << x << ", " << y << ")";
+      }
+    }
+  }
+}
+
+TEST(MstInsertion, DegenerateSets) {
+  EXPECT_EQ(MstInsertion(std::vector<Point>{}).length(), 0);
+  MstInsertion one(std::vector<Point>{{2, 3}});
+  EXPECT_EQ(one.length(), 0);
+  EXPECT_EQ(one.length_with({5, 7}), 7);
+  MstInsertion line(std::vector<Point>{{0, 0}, {4, 0}});
+  EXPECT_EQ(line.length_with({2, 0}), 4);  // splits the edge: no gain
+  EXPECT_EQ(line.length_with({4, 3}), 7);  // hangs off one end
+}
 
 }  // namespace
 }  // namespace rlcr::rsmt

@@ -209,6 +209,19 @@ TEST(StoreSerial, RefineRoundTripIsBitIdentical) {
     }
   }
 
+  // The loaded artifact shares every slot Phase III left untouched with
+  // the base solve, exactly as the computed one does.
+  auto shared_with_base = [&](const RefineArtifact& a) {
+    std::size_t n = 0;
+    for (std::size_t si = 0; si < a.solutions->size(); ++si) {
+      const auto& slot = a.solutions->slot(si);
+      n += slot != nullptr && slot == solve->solutions->slot(si);
+    }
+    return n;
+  };
+  EXPECT_GT(shared_with_base(*art), 0u);
+  EXPECT_EQ(shared_with_base(*loaded), shared_with_base(*art));
+
   // The record is pinned to its Phase III configuration: loading it under
   // the other batch_pass2 setting is a miss, not a wrong answer.
   EXPECT_EQ(store::load_refine(bytes, p, solve, true), nullptr);
